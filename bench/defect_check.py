@@ -1,4 +1,4 @@
-"""One-off gate check over random_higgs_data(seed=0..N-1) diagonal models.
+"""One-off gate check over random_higgs_data(seed=0..39) diagonal models.
 
 Not a timed configuration: every fit runs to completion (no deadline), so
 a full run takes a minute or more.  It counts
@@ -12,7 +12,6 @@ Run from the repository root:  python3 bench/defect_check.py
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -28,12 +27,14 @@ import oracle  # noqa: E402
 from nahmkit import fields, moduli, spectral  # noqa: E402
 
 DIRECTION = np.exp(0.37j)
+FIT_SEEDS = 40
+SOLVE_SEEDS = 20
 
 
-def _fit_failures(n_seeds: int) -> dict:
+def _fit_failures() -> dict:
     out = {"fit_infinity": [], "fit_puncture": [], "seconds": 0.0}
     start = time.perf_counter()
-    for s in range(n_seeds):
+    for s in range(FIT_SEEDS):
         hd = moduli.random_higgs_data(seed=s)
         field, extracted = fields.model_field(hd)
         try:
@@ -53,13 +54,13 @@ def _fit_failures(n_seeds: int) -> dict:
     return out
 
 
-def _solve_errors(n_seeds: int) -> dict:
+def _solve_errors() -> dict:
     out = {}
     for radius in (1.0, 1e2, 1e3):
         xi = radius * DIRECTION
         wrong = []
         worst = 0.0
-        for s in range(n_seeds):
+        for s in range(SOLVE_SEEDS):
             hd = moduli.random_higgs_data(seed=s)
             field, _ = fields.model_field(hd)
             exact = oracle.diagonal_roots(*oracle.diagonal_model(hd), xi)
@@ -74,20 +75,16 @@ def _solve_errors(n_seeds: int) -> dict:
     return out
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--fit-seeds", type=int, default=40)
-    ap.add_argument("--solve-seeds", type=int, default=20)
-    args = ap.parse_args(argv)
-    solves = _solve_errors(args.solve_seeds)
+def main() -> int:
+    solves = _solve_errors()
     for radius, rec in solves.items():
         print(
-            f"|xi|={radius}: {len(rec['wrong'])}/{args.solve_seeds} solves off the closed form "
+            f"|xi|={radius}: {len(rec['wrong'])}/{SOLVE_SEEDS} solves off the closed form "
             f"(worst relative error {rec['worst_rel_err']:.3g}); seeds {[s for s, _ in rec['wrong']]}"
         )
-    fits = _fit_failures(args.fit_seeds)
+    fits = _fit_failures()
     for name in ("fit_infinity", "fit_puncture"):
-        print(f"{name}: {len(fits[name])}/{args.fit_seeds} fail the gate; seeds {[s for s, _ in fits[name]]}")
+        print(f"{name}: {len(fits[name])}/{FIT_SEEDS} fail the gate; seeds {[s for s, _ in fits[name]]}")
     print(f"fits took {fits['seconds']:.1f} s")
     print(json.dumps({"solves": solves, "fits": fits}, default=str))
     return 0

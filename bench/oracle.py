@@ -25,6 +25,7 @@ ROOT_TOL = 1e-8
 FIT_TOL = 1e-3
 # residue eigenvalues below this are exact zeros of the generator's data
 ZERO_RESIDUE = 1e-9
+NEWTON_STEPS = 4
 
 
 def diagonal_roots(a_diag, lams, punctures, xi: complex) -> np.ndarray:
@@ -49,13 +50,13 @@ def diagonal_roots(a_diag, lams, punctures, xi: complex) -> np.ndarray:
     return np.array(out, dtype=complex)
 
 
-def _polish(z: complex, lead: complex, ps, ls, steps: int = 4) -> complex:
+def _polish(z: complex, lead: complex, ps, ls) -> complex:
     """Newton on g(z) = lead + sum_j l_j / (z - p_j), keeping the best iterate."""
     def g(w):
         return lead + sum(l / (w - p) for l, p in zip(ls, ps))
 
     best, best_val = z, abs(g(z))
-    for _ in range(steps):
+    for _ in range(NEWTON_STEPS):
         dg = -sum(l / (best - p) ** 2 for l, p in zip(ls, ps))
         if dg == 0:
             break

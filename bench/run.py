@@ -8,11 +8,12 @@ Usage, from the repository root:
 Workloads (closed loop, one client, one op at a time; see workloads.py):
 verify-corpus, scan-around, fit-corpus, or ``all`` to run the three in turn.
 
-With ``--trace 0`` the timed process is started several times to measure
-set-up (interpreter start until the first op can be issued); the last start
-then runs the closed loop for ``--seconds``.  With ``--trace 1`` one process
-runs the loop untraced for half the time, then the same ops again with
-per-layer spans installed, then the closed-form solve probe.
+With ``--trace 0`` set-up (interpreter start until the first op can be
+issued) is measured on SETUP_STARTS fresh processes: the one that runs the
+closed loop for ``--seconds``, and probes that stop once set up, half started
+before it and half after.  With ``--trace 1`` one process runs the loop
+untraced for half the time, then the same ops again with per-layer spans
+installed, then the closed-form solve probe.
 
 A human-readable report goes to stdout; its last line is one JSON object
 {"correct", "attempted", "failed", "metrics"}.  Every op runs under a
@@ -42,7 +43,13 @@ WORKLOADS = ("verify-corpus", "scan-around", "fit-corpus")
 # the run's throughput.  verify-corpus has no such path (ops take about
 # 1 s); its deadline only guards against a hang.
 DEADLINE_S = {"verify-corpus": 10.0, "scan-around": 0.5, "fit-corpus": 0.5}
-SETUP_STARTS = 5
+# set-up probes spread over the run, so that their median covers the host's
+# speed over the whole run rather than over the few seconds before it
+SETUP_STARTS = 9
+# workloads on which a sound program passes every op: a failed op there makes
+# the run incorrect.  On the other two the known large-|xi| defect fails some
+# ops; those are counted in `failed` and bounded through ok_frac.
+ALL_PASS = ("verify-corpus",)
 TAIL_BEYOND = 10
 
 # metrics in the JSON result; op_tail_ms and fail_frac are printed in the
@@ -180,7 +187,7 @@ def _layers(raw) -> dict:
     n = len(raw["traced"]["latency_s"])
     totals = raw["layers"]
     out = {}
-    for name in [t[0] for t in tracer.TARGETS] + list(tracer.CALL_SITE_SPANS):
+    for name, *_ in tracer.TARGETS:
         calls, self_ns, raised = totals.get(name, (0, 0, 0))
         out[f"{name}.calls"] = (calls / n, "1/op")
         out[f"{name}.self_ms"] = (self_ns / 1e6 / n, "ms/op")
@@ -217,14 +224,11 @@ def run_one(args) -> dict:
             shutil.copy(os.path.join(workdir, "spans.json"),
                         os.path.join(ROOT, ".bench-out", f"spans-{args.workload}-{args.seed}.json"))
         else:
-            setups = []
-            for _ in range(SETUP_STARTS - 1):
-                setup, proc, err_path = _start(args, workdir, procs, setup_only=True)
-                setups.append(setup)
-                _finish_setup_only(proc, err_path)
+            setups = [_setup_probe(args, workdir, procs) for _ in range(SETUP_STARTS // 2)]
             setup, proc, err_path = _start(args, workdir, procs, setup_only=False)
             setups.append(setup)
             raw = _finish(proc, err_path, budget)
+            setups += [_setup_probe(args, workdir, procs) for _ in range(SETUP_STARTS - len(setups))]
             values, info = _end_to_end(setups, raw)
             metrics = {k: {"value": values[k], "unit": END_TO_END[k]} for k in END_TO_END}
     finally:
@@ -235,21 +239,30 @@ def run_one(args) -> dict:
         shutil.rmtree(workdir, ignore_errors=True)
     u = raw["untraced"]
     attempted = len(u["ok"])
+    failed = attempted - sum(u["ok"])
     return {
         "info": {"workload": args.workload, **info, **_environment(args)},
         "result": {
-            "correct": _oracle_self_check(),
+            "correct": _correct(args.workload, failed),
             "attempted": attempted,
-            "failed": attempted - sum(u["ok"]),
+            "failed": failed,
             "metrics": metrics,
         },
     }
 
 
-def _finish_setup_only(proc, err_path) -> None:
+def _setup_probe(args, workdir, procs) -> float:
+    """Set-up seconds of one fresh process that stops once it is ready."""
+    setup, proc, err_path = _start(args, workdir, procs, setup_only=True)
     _reap(proc)
     if proc.returncode != 0:
         raise WorkerError(f"set-up probe exited {proc.returncode}:\n{_tail(err_path)}")
+    return setup
+
+
+def _correct(workload: str, failed: int) -> bool:
+    """The oracle passes its own check, and no op failed where none may."""
+    return _oracle_self_check() and (workload not in ALL_PASS or failed == 0)
 
 
 def _oracle_self_check() -> bool:

@@ -126,7 +126,7 @@ def test_deadline_interrupts_a_python_loop():
 
 
 def test_tracer_records_self_time_and_absent_targets(monkeypatch):
-    from nahmkit import fields, moduli, spectral
+    from nahmkit import cli, fields, moduli, spectral
 
     monkeypatch.setattr(tracer, "TARGETS", tracer.TARGETS + (("gone.layer", "nahmkit.spectral", "no_such_attr", True),))
     hd = moduli.random_higgs_data(seed=2)
@@ -139,16 +139,27 @@ def test_tracer_records_self_time_and_absent_targets(monkeypatch):
         start = time.perf_counter_ns()
         spectral.spectral_points(field, 0.7 + 0.2j)
         wall = time.perf_counter_ns() - start
+        assert workloads.run_cli(cli, ["--help"])[0] == 0
     finally:
         tr.uninstall()
     assert spectral.spectral_points is original
+    assert "main" not in vars(cli.main)  # the click command's own method is back
     totals = tr.totals()
+    assert totals["cli.main"][0] == 1
+    del totals["cli.main"]  # outside the wall-clock window below
     assert tr.absent == ["gone.layer"]
     assert totals["spectral.spectral_points"][:1] == [1]
     assert totals["fields.matrix_at"][0] > 0
     # self times partition the outermost span, which the wall clock encloses
     self_ns = [stat[1] for name, stat in totals.items() if not name.startswith("#")]
     assert all(ns > 0 for ns in self_ns) and sum(self_ns) <= wall
+
+
+def test_a_failed_op_is_incorrect_only_where_none_may_fail():
+    import run
+
+    assert run._correct("verify-corpus", 0) and not run._correct("verify-corpus", 1)
+    assert run._correct("scan-around", 3) and run._correct("fit-corpus", 3)
 
 
 def _bench_spec():

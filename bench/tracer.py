@@ -1,10 +1,11 @@
 """Per-layer spans by attribute replacement, recorded from the benchmark's files.
 
 A target names a function by module and attribute (``Class.method`` for a
-method).  Installing it replaces that attribute with a wrapper in every
-loaded ``nahmkit`` module that holds the same object, so calls through a
-module reference (``spectral.spectral_points``) and through names imported
-with ``from ... import`` are both seen.  A target whose attribute no longer
+method, ``obj.method`` for a method of one object).  Installing it replaces
+that attribute with a wrapper and, where asked, also in every loaded
+``nahmkit`` module that holds the same object, so calls through a module
+reference (``spectral.spectral_points``) and through names imported with
+``from ... import`` are both seen.  A target whose attribute no longer
 exists is recorded as absent and reads as zero.
 
 Spans nest on a stack; a span's self time is its duration minus the
@@ -20,6 +21,8 @@ import time
 
 # (layer name, module, attribute, patch every nahmkit module holding it)
 TARGETS = (
+    # the click entry point of the in-process CLI ops
+    ("cli.main", "nahmkit.cli", "main.main", False),
     ("moduli.random_higgs_data", "nahmkit.moduli", "random_higgs_data", True),
     ("moduli.check_hypothesis", "nahmkit.moduli", "check_hypothesis", True),
     ("nahm.transform", "nahmkit.nahm", "transform", True),
@@ -46,11 +49,12 @@ TARGETS = (
     ("numkernel.poly_roots", "nahmkit.numkernel", "poly_roots", True),
     ("numkernel.numerical_rank", "nahmkit.numkernel", "numerical_rank", True),
     ("numkernel.eigenvalues", "nahmkit.numkernel", "eigenvalues", True),
+    ("spectral.fit_infinity", "nahmkit.spectral", "fit_infinity_asymptotics", True),
+    ("spectral.fit_puncture", "nahmkit.spectral", "fit_puncture_asymptotics", True),
 )
-# spans opened at the benchmark's own call sites (see workloads.py)
-CALL_SITE_SPANS = ("cli.main", "spectral.fit_infinity", "spectral.fit_puncture")
 TRACK = "spectral.track_branches"
 SOLVE = "spectral.spectral_points"
+_UNSET = object()  # marks a patched attribute that its holder did not own
 
 
 class Tracer:
@@ -125,12 +129,15 @@ class Tracer:
                     if value is original
                 ]
             for holder, key in holders:
-                self._patches.append((holder, key, getattr(holder, key)))
+                self._patches.append((holder, key, vars(holder).get(key, _UNSET)))
                 setattr(holder, key, wrapper)
 
     def uninstall(self) -> None:
         for holder, key, original in reversed(self._patches):
-            setattr(holder, key, original)
+            if original is _UNSET:  # the wrapper shadowed a class attribute
+                delattr(holder, key)
+            else:
+                setattr(holder, key, original)
         self._patches.clear()
 
     # -- readout -----------------------------------------------------------------

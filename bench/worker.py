@@ -15,16 +15,6 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-class SwitchableSpans:
-    """Forwards call-site spans to the tracer while one is active."""
-
-    def __init__(self, target):
-        self.target = target
-
-    def call(self, name, fn, *args, **kwargs):
-        return self.target.call(name, fn, *args, **kwargs)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--workload", required=True)
@@ -43,8 +33,7 @@ def main(argv=None) -> int:
     import harness
     import workloads
 
-    spans = SwitchableSpans(workloads.NoSpans)
-    ops = workloads.build(args.workload, args.seed, os.path.join(args.workdir, "specs"), spans)
+    ops = workloads.build(args.workload, args.seed, os.path.join(args.workdir, "specs"))
     print("READY", flush=True)
     if args.setup_only:
         return 0
@@ -59,7 +48,6 @@ def main(argv=None) -> int:
             import tracer
 
             tr = tracer.Tracer()
-            spans.target = tr
             tr.install()
             try:
                 traced, traced_wall = runner.loop(
@@ -67,7 +55,6 @@ def main(argv=None) -> int:
                 )
             finally:
                 tr.uninstall()
-                spans.target = workloads.NoSpans
             out["traced"] = _summarize(traced, traced_wall)
             out["layers"] = tr.totals()
             out["absent"] = tr.absent
@@ -89,9 +76,10 @@ def _summarize(results, wall) -> dict:
 
 
 PROBE_RADII = {"r1": 1.0, "r1e2": 1e2, "r1e3": 1e3}
+PROBE_DATA = 20
 
 
-def _oracle_probe(runner, seed: int, n_data: int = 20) -> dict:
+def _oracle_probe(runner, seed: int) -> dict:
     """Closed-form error of single solves on diagonal models, per xi regime.
 
     xi = R e^{0.37i} for R in {1, 1e2, 1e3}, and xi_l + 1e-3 e^{0.37i} next
@@ -108,7 +96,7 @@ def _oracle_probe(runner, seed: int, n_data: int = 20) -> dict:
     rng = np.random.default_rng([seed, 4])
     direction = np.exp(0.37j)
     errs: dict[str, list[float]] = {k: [] for k in (*PROBE_RADII, "near")}
-    for _ in range(n_data):
+    for _ in range(PROBE_DATA):
         hd = moduli.random_higgs_data(rng=rng)
         field, _ = fields.model_field(hd)
         model = oracle.diagonal_model(hd)

@@ -2,9 +2,8 @@
 
 An op is a zero-argument ``run`` that calls the program and returns its
 output, and a ``check`` that returns '' when that output passed its gate
-and a one-line reason otherwise; only ``run`` is timed.  Program calls go
-through ``spans.call(name, fn, ...)`` so the traced run can attribute the
-time spent at the benchmark's own call sites.
+and a one-line reason otherwise; only ``run`` is timed.  Ops look the
+program's functions up at call time, so the tracer's wrappers see them.
 
 * verify-corpus: ``nahmkit verify --count 200 --seed s_i`` in-process;
   gate: exit code 0.
@@ -33,6 +32,11 @@ import oracle
 
 WORKLOADS = ("verify-corpus", "scan-around", "fit-corpus")
 VERIFY_COUNT = 200
+# corpus sizes: ops per verify-corpus run, data per scan-around and fit-corpus
+# corpus (each run cycles through its corpus if it gets to the end)
+VERIFY_OPS = 64
+SCAN_DATA = 160
+FIT_DATA = 80
 
 
 @dataclass(frozen=True)
@@ -42,21 +46,13 @@ class Op:
     check: Callable[[object], str]
 
 
-class NoSpans:
-    """Span recorder used when tracing is off: calls straight through."""
-
-    @staticmethod
-    def call(name, fn, *args, **kwargs):
-        return fn(*args, **kwargs)
-
-
-def run_cli(nahmkit_cli, spans, args) -> tuple[int, str]:
+def run_cli(nahmkit_cli, args) -> tuple[int, str]:
     """Invoke the click entry point in-process; (exit code, captured stdout)."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdout, sys.stderr
     sys.stdout, sys.stderr = out, err
     try:
-        spans.call("cli.main", nahmkit_cli.main.main, args=args, prog_name="nahmkit", standalone_mode=True)
+        nahmkit_cli.main.main(args=args, prog_name="nahmkit", standalone_mode=True)
         code = 0
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
@@ -65,16 +61,16 @@ def run_cli(nahmkit_cli, spans, args) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def build(name: str, seed: int, spec_dir: str, spans=NoSpans) -> list[Op]:
+def build(name: str, seed: int, spec_dir: str) -> list[Op]:
     """The op sequence of one workload; the same seed gives the same inputs."""
     from nahmkit import cli as nahmkit_cli
 
     if name == "verify-corpus":
-        return _verify_ops(nahmkit_cli, seed, spans)
+        return _verify_ops(nahmkit_cli, seed)
     if name == "scan-around":
-        return _scan_ops(nahmkit_cli, seed, spec_dir, spans)
+        return _scan_ops(nahmkit_cli, seed, spec_dir)
     if name == "fit-corpus":
-        return _fit_ops(seed, spans)
+        return _fit_ops(nahmkit_cli, seed)
     raise ValueError(f"unknown workload {name!r}; expected one of {', '.join(WORKLOADS)}")
 
 
@@ -122,31 +118,31 @@ def corpus(seed: int, stream: int, n_data: int) -> list:
 # verify-corpus
 
 
-def _verify_ops(nahmkit_cli, seed, spans, n_ops=64):
+def _verify_ops(nahmkit_cli, seed):
     rng = np.random.default_rng([seed, 1])
 
     def op(s):
         args = ["verify", "--count", str(VERIFY_COUNT), "--seed", str(s)]
         return Op(
             "verify",
-            lambda: run_cli(nahmkit_cli, spans, args),
+            lambda: run_cli(nahmkit_cli, args),
             lambda out: "" if out[0] == 0 else f"verify --seed {s} exited {out[0]}",
         )
 
-    return [op(int(s)) for s in rng.integers(0, 2**31, size=n_ops)]
+    return [op(int(s)) for s in rng.integers(0, 2**31, size=VERIFY_OPS)]
 
 
 # ---------------------------------------------------------------------------
 # scan-around
 
 
-def _scan_ops(nahmkit_cli, seed, spec_dir, spans, n_data=160):
+def _scan_ops(nahmkit_cli, seed, spec_dir):
     from nahmkit import serialize
 
     rng = np.random.default_rng([seed, 2, 1])
     os.makedirs(spec_dir, exist_ok=True)
     ops = []
-    for i, hd in enumerate(corpus(seed, 2, n_data)):
+    for i, hd in enumerate(corpus(seed, 2, SCAN_DATA)):
         model = oracle.diagonal_model(hd)
         for mode in ("diagonal", "random"):
             spec = serialize.data_to_dict(hd)
@@ -155,16 +151,16 @@ def _scan_ops(nahmkit_cli, seed, spec_dir, spans, n_data=160):
             with open(path, "w") as fh:
                 json.dump(spec, fh)
             for l in range(len(hd.inf_groups)):
-                ops.append(_scan_op(nahmkit_cli, spans, path, l, hd.r_hat, model if mode == "diagonal" else None))
+                ops.append(_scan_op(nahmkit_cli, path, l, hd.r_hat, model if mode == "diagonal" else None))
     return ops
 
 
-def _scan_op(nahmkit_cli, spans, path, around, r_hat, model):
+def _scan_op(nahmkit_cli, path, around, r_hat, model):
     def check(out):
         code, text = out
         return scan_gate(text, r_hat, model) if code == 0 else f"spectral-scan exited {code}"
 
-    return Op("scan", lambda: run_cli(nahmkit_cli, spans, ["spectral-scan", path, "--around", str(around)]), check)
+    return Op("scan", lambda: run_cli(nahmkit_cli, ["spectral-scan", path, "--around", str(around)]), check)
 
 
 def scan_gate(text: str, r_hat: int, model=None) -> str:
@@ -196,42 +192,25 @@ def scan_gate(text: str, r_hat: int, model=None) -> str:
 # fit-corpus
 
 
-def conjugated(field, seed: int):
-    """Residues conjugated by random well-conditioned matrices (condition <= 4)."""
-    from nahmkit import fields
-
-    rng = np.random.default_rng(seed)
-    r = field.rank
-    residues = np.empty_like(field.residues)
-    for j in range(field.punctures.size):
-        q1, _ = np.linalg.qr(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
-        q2, _ = np.linalg.qr(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
-        g = q1 @ np.diag(rng.uniform(0.5, 2.0, size=r)) @ q2
-        residues[j] = g @ field.residues[j] @ np.linalg.inv(g)
-    return fields.ExplicitHiggsField(field.a_diag, field.punctures, residues, field.weights)
-
-
-def _fit_ops(seed, spans, n_data=80):
-    from nahmkit import fields, spectral
+def _fit_ops(nahmkit_cli, seed):
+    from nahmkit import spectral
 
     rng = np.random.default_rng([seed, 3, 1])
     ops = []
-    for hd in corpus(seed, 3, n_data):
-        diag, extracted = fields.model_field(hd)
-        conj = conjugated(diag, int(rng.integers(0, 2**31)))
-        conj_data = fields.extract_data(conj, weights=diag.weights, degree=hd.degree)
-        for field, truth in ((diag, extracted), (conj, conj_data)):
+    for hd in corpus(seed, 3, FIT_DATA):
+        # the diagonal model and a conjugated realization, as spectral-scan builds them
+        conj_seed = int(rng.integers(0, 2**31))
+        for mode in ("diagonal", "random"):
+            field, truth = nahmkit_cli._realize(hd, {"mode": mode, "seed": conj_seed})
             group = truth.inf_groups[0]
             ops.append(Op(
                 "fit_infinity",
-                lambda field=field: spans.call("spectral.fit_infinity", spectral.fit_infinity_asymptotics, field),
+                lambda field=field: spectral.fit_infinity_asymptotics(field),
                 lambda fits, truth=truth: oracle.infinity_gate(fits, truth),
             ))
             ops.append(Op(
                 "fit_puncture",
-                lambda field=field, group=group: spans.call(
-                    "spectral.fit_puncture", spectral.fit_puncture_asymptotics, field, group.xi
-                ),
+                lambda field=field, group=group: spectral.fit_puncture_asymptotics(field, group.xi),
                 lambda fits, group=group: oracle.puncture_gate(fits, group),
             ))
     return ops
