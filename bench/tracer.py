@@ -49,8 +49,6 @@ TARGETS = (
     ("numkernel.poly_roots", "nahmkit.numkernel", "poly_roots", True),
     ("numkernel.numerical_rank", "nahmkit.numkernel", "numerical_rank", True),
     ("numkernel.eigenvalues", "nahmkit.numkernel", "eigenvalues", True),
-    ("spectral.fit_infinity", "nahmkit.spectral", "fit_infinity_asymptotics", True),
-    ("spectral.fit_puncture", "nahmkit.spectral", "fit_puncture_asymptotics", True),
 )
 TRACK = "spectral.track_branches"
 SOLVE = "spectral.spectral_points"

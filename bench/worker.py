@@ -60,7 +60,10 @@ def main(argv=None) -> int:
             out["absent"] = tr.absent
             with open(os.path.join(args.workdir, "spans.json"), "w") as fh:
                 json.dump({"absent": tr.absent, "per_op": tr.per_op}, fh)
+    if args.trace:
+        with harness.Runner(PROBE_DEADLINE_S) as runner:
             out["oracle"] = _oracle_probe(runner, args.seed)
+            out["fit_gates"] = _fit_probe(runner, args.seed)
     print(json.dumps(out), flush=True)
     return 0
 
@@ -77,6 +80,9 @@ def _summarize(results, wall) -> dict:
 
 PROBE_RADII = {"r1": 1.0, "r1e2": 1e2, "r1e3": 1e3}
 PROBE_DATA = 20
+# the probes run generator-default data, where failing fits take up to 36 s;
+# successful ones take at most about 0.35 s
+PROBE_DEADLINE_S = 2.0
 
 
 def _oracle_probe(runner, seed: int) -> dict:
@@ -113,6 +119,40 @@ def _oracle_probe(runner, seed: int) -> dict:
         }
         for key, vals in errs.items()
     }
+
+
+def _fit_probe(runner, seed: int) -> dict:
+    """Fit gate misses on generator-default diagonal models, per fit.
+
+    fit_infinity_asymptotics and fit_puncture_asymptotics (first group) on
+    PROBE_DATA diagonal models drawn at the generator defaults, judged by
+    the gates of acceptance criteria 5 and 4; a raise or a timeout is a miss.
+    """
+    import numpy as np
+
+    import oracle
+    import workloads
+    from nahmkit import fields, moduli, spectral
+
+    rng = np.random.default_rng([seed, 5])
+    missed = {"infinity": 0, "puncture": 0}
+    for _ in range(PROBE_DATA):
+        hd = moduli.random_higgs_data(rng=rng)
+        field, truth = fields.model_field(hd)
+        group = truth.inf_groups[0]
+        ops = {
+            "infinity": workloads.Op(
+                "probe", lambda: spectral.fit_infinity_asymptotics(field),
+                lambda fits: oracle.infinity_gate(fits, truth),
+            ),
+            "puncture": workloads.Op(
+                "probe", lambda: spectral.fit_puncture_asymptotics(field, group.xi),
+                lambda fits: oracle.puncture_gate(fits, group),
+            ),
+        }
+        for key, op in ops.items():
+            missed[key] += not runner.run(op).ok
+    return missed
 
 
 if __name__ == "__main__":
