@@ -12,8 +12,7 @@ import click
 import numpy as np
 
 from . import fields, moduli, nahm, spectral, verification
-from .fields import ExplicitHiggsField, extract_data, model_field
-from .moduli import ConnectionData, HiggsData, connection_to_higgs
+from .moduli import ConnectionData
 from .serialize import SpecError, data_from_dict, data_to_dict, realization_from_dict
 
 PARSE_ERROR = 2
@@ -46,25 +45,6 @@ def _load_data(path: str):
     except SpecError as exc:
         _fail_parse(str(exc))
     return data, realization
-
-
-def _realize(data, realization) -> tuple[ExplicitHiggsField, HiggsData]:
-    """Explicit field for a datum: the diagonal model or a conjugated variant.
-
-    The returned HiggsData is re-extracted from the field and is the ground
-    truth for spectral comparisons.
-    """
-    hd = connection_to_higgs(data) if isinstance(data, ConnectionData) else data
-    field, extracted = model_field(hd)
-    if realization["mode"] == "diagonal":
-        return field, extracted
-    rng = np.random.default_rng(realization["seed"])
-    residues = np.empty_like(field.residues)
-    for j in range(field.punctures.size):
-        g = fields._well_conditioned(rng, field.rank)
-        residues[j] = g @ field.residues[j] @ np.linalg.inv(g)
-    conj = ExplicitHiggsField(field.a_diag, field.punctures, residues, field.weights)
-    return conj, extract_data(conj, weights=field.weights, degree=hd.degree)
 
 
 def _fmt(x: float) -> str:
@@ -173,7 +153,7 @@ def verify(spec, count, seed):
 def spectral_scan(spec, xi_path, around, radii, out):
     """Track spectral branches along a xi-path and emit CSV."""
     data, realization = _load_data(spec)
-    field, _ = _realize(data, realization)
+    field, _ = fields.realize(data, realization)
     if (xi_path is None) == (around is None):
         _fail_parse("exactly one of --xi-path and --around is required")
     if xi_path is not None:

@@ -12,11 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moduli import (
+    ConnectionData,
     DataError,
     HiggsData,
     InfinityGroup,
     LogPoint,
+    SingularityData,
     WeightedEigen,
+    connection_to_higgs,
 )
 from .numkernel import eigenvalues, numerical_rank
 
@@ -133,6 +136,28 @@ def model_field(hd: HiggsData) -> tuple[ExplicitHiggsField, HiggsData]:
         k += m
     extracted = HiggsData(r, hd.degree, hd.log_points, tuple(inf_groups))
     return field, extracted
+
+
+def realize(data: SingularityData, realization: dict) -> tuple[ExplicitHiggsField, HiggsData]:
+    """Explicit field for a datum: the diagonal model or a conjugated variant.
+
+    realization is a spec's realization block, {"mode": ..., "seed": s}:
+    mode "diagonal" gives model_field(data); mode "random" conjugates each
+    residue of it by a well-conditioned matrix drawn from seed s.  The
+    returned HiggsData is re-extracted from the field and is the ground
+    truth for spectral comparisons.
+    """
+    hd = connection_to_higgs(data) if isinstance(data, ConnectionData) else data
+    field, extracted = model_field(hd)
+    if realization["mode"] == "diagonal":
+        return field, extracted
+    rng = np.random.default_rng(realization["seed"])
+    residues = np.empty_like(field.residues)
+    for j in range(field.punctures.size):
+        g = _well_conditioned(rng, field.rank)
+        residues[j] = g @ field.residues[j] @ np.linalg.inv(g)
+    conj = ExplicitHiggsField(field.a_diag, field.punctures, residues, field.weights)
+    return conj, extract_data(conj, weights=field.weights, degree=hd.degree)
 
 
 def _zeros_first_weights(lp: LogPoint) -> tuple[float, ...]:

@@ -212,6 +212,13 @@ def check_connection_hypothesis(cd: ConnectionData) -> HypothesisReport:
     return check_hypothesis(connection_to_higgs(cd))
 
 
+def hypothesis_report(data: SingularityData) -> HypothesisReport:
+    """Genericity hypothesis of a datum of either kind."""
+    if isinstance(data, HiggsData):
+        return check_hypothesis(data)
+    return check_connection_hypothesis(data)
+
+
 def parabolic_degree(data: SingularityData) -> float:
     return data.degree + sum(data.all_weights())
 

@@ -19,6 +19,7 @@ from .moduli import (
     check_connection_hypothesis,
     check_hypothesis,
     connection_to_higgs,
+    hypothesis_report,
     parabolic_degree,
     transformability_check,
 )
@@ -196,13 +197,13 @@ class BookkeepingRecord:
         return abs(lhs - rhs)
 
 
-def extension_bookkeeping(hd: HiggsData) -> BookkeepingRecord:
-    transformed = transform(hd)
+def extension_bookkeeping(data: SingularityData) -> BookkeepingRecord:
+    transformed = transform(data)
     nonzero = tuple(w for w in transformed.all_weights() if w != 0)
     return BookkeepingRecord(
-        r_hat=hd.r_hat,
-        induced_degree=hd.r_hat + hd.rank + hd.degree,
-        transformed_degree=hd.degree,
+        r_hat=data.r_hat,
+        induced_degree=data.r_hat + data.rank + data.degree,
+        transformed_degree=data.degree,
         induced_weights=tuple(w - 1.0 for w in nonzero),
         transformed_weights=nonzero,
     )
@@ -221,17 +222,8 @@ class TransformReport:
 
 def transform_report(data: SingularityData) -> TransformReport:
     out = transform(data)
-    book = BookkeepingRecord(
-        r_hat=data.r_hat,
-        induced_degree=data.r_hat + data.rank + data.degree,
-        transformed_degree=data.degree,
-        induced_weights=tuple(w - 1.0 for w in out.all_weights() if w != 0),
-        transformed_weights=tuple(w for w in out.all_weights() if w != 0),
-    )
-    if isinstance(data, HiggsData):
-        preserved = check_hypothesis(out).ok == check_hypothesis(data).ok
-    else:
-        preserved = check_connection_hypothesis(out).ok == check_connection_hypothesis(data).ok
+    book = extension_bookkeeping(data)
+    preserved = hypothesis_report(out).ok == hypothesis_report(data).ok
     return TransformReport(
         input=data,
         output=out,

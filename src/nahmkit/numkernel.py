@@ -1,4 +1,4 @@
-"""Complex-arithmetic substrate: polynomials, roots, eigenvalues, null
+"""Complex-arithmetic substrate: polynomials from roots, eigenvalues, null
 spaces and tolerant multiset matching.
 
 Polynomials are 1-D complex ndarrays with coefficients in ascending degree
@@ -10,14 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-MAX_POLY_DEGREE = 64
 MAX_EIG_DIM = 16
-
-
-class NumericalError(RuntimeError):
-    """A numerical contract (convergence, backward error) was not met."""
 
 
 def _as_finite_array(a, name: str) -> np.ndarray:
@@ -41,56 +35,10 @@ def as_poly(coeffs) -> np.ndarray:
     return c[: nz[-1] + 1]
 
 
-def poly_degree(p: np.ndarray) -> int:
-    p = as_poly(p)
-    return len(p) - 1
-
-
-def poly_eval(p: np.ndarray, z) -> complex | np.ndarray:
-    p = np.asarray(p, dtype=complex)
-    return np.polynomial.polynomial.polyval(z, p)
-
-
 def poly_from_roots(roots, leading: complex = 1.0) -> np.ndarray:
     """Monic-from-roots times `leading`, ascending coefficients."""
     c = np.polynomial.polynomial.polyfromroots(np.asarray(roots, dtype=complex))
     return as_poly(leading * c)
-
-
-def poly_roots(p, tol: float = 1e-8) -> np.ndarray:
-    """All roots with multiplicity, via the companion matrix.
-
-    Each returned root r satisfies |p(r)| <= tol * max|coeff| after a
-    Newton polish; otherwise NumericalError is raised with the residual.
-    """
-    p = as_poly(p)
-    deg = len(p) - 1
-    if deg > MAX_POLY_DEGREE:
-        raise ValueError(f"degree {deg} exceeds supported maximum {MAX_POLY_DEGREE}")
-    if deg == 0:
-        if p[0] == 0:
-            raise ValueError("polynomial is identically zero")
-        return np.zeros(0, dtype=complex)
-    roots = np.polynomial.polynomial.polyroots(p)
-    # one Newton step to tighten simple roots
-    dp = np.polynomial.polynomial.polyder(p)
-    pv = poly_eval(p, roots)
-    dpv = poly_eval(dp, roots)
-    safe = np.abs(dpv) > 0
-    step = np.zeros_like(roots)
-    step[safe] = pv[safe] / dpv[safe]
-    polished = roots - step
-    better = np.abs(poly_eval(p, polished)) < np.abs(pv)
-    roots = np.where(better, polished, roots)
-
-    # standard backward error: |p(r)| relative to sum_i |c_i| |r|^i
-    denom = np.polynomial.polynomial.polyval(np.abs(roots), np.abs(p))
-    denom = np.maximum(denom, np.max(np.abs(p)))
-    rel = np.abs(poly_eval(p, roots)) / denom
-    worst = float(np.max(rel)) if len(rel) else 0.0
-    if worst > tol:
-        raise NumericalError(f"root finding backward error {worst:.3e} exceeds tol {tol:.3e}")
-    return roots
 
 
 def eigenvalues(m) -> np.ndarray:
@@ -131,36 +79,6 @@ def numerical_rank(m, tol: float = 1e-8) -> int:
     return int(np.sum(s > tol * s[0]))
 
 
-def det_polymatrix(entries) -> np.ndarray:
-    """Determinant of a matrix with polynomial entries.
-
-    `entries` is an r x r nested sequence of ascending-coefficient arrays.
-    Computed by evaluation at scaled roots of unity followed by
-    interpolation; returns an ascending-coefficient array.
-    """
-    rows = len(entries)
-    if rows == 0 or any(len(row) != rows for row in entries):
-        raise ValueError("entries must form a square matrix")
-    polys = [[as_poly(e) for e in row] for row in entries]
-    d = max(len(e) - 1 for row in polys for e in row)
-    n_nodes = rows * d + 1
-    # scale the interpolation circle to the coefficient magnitude
-    mag = max(float(np.max(np.abs(e))) for row in polys for e in row)
-    radius = 1.0 if mag == 0 else max(0.5, min(2.0, mag ** (1.0 / max(1, d))))
-    nodes = radius * np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
-    values = np.empty(n_nodes, dtype=complex)
-    for i, z in enumerate(nodes):
-        mz = np.array([[poly_eval(e, z) for e in row] for row in polys])
-        values[i] = np.linalg.det(mz)
-    # inverse DFT on the scaled circle recovers the coefficients; the nodes
-    # walk the circle with positive orientation, which is fft's sign convention
-    coeffs = (np.fft.fft(values) / n_nodes) / radius ** np.arange(n_nodes)
-    # drop numerically-zero high-order noise
-    cutoff = 1e-13 * max(1.0, float(np.max(np.abs(coeffs))))
-    coeffs[np.abs(coeffs) < cutoff] = 0.0
-    return as_poly(coeffs)
-
-
 @dataclass(frozen=True)
 class MatchResult:
     """Outcome of a minimal-cost assignment between two complex multisets."""
@@ -185,6 +103,9 @@ def multiset_match(s, t, tol: float) -> MatchResult:
         raise ValueError(f"multiset sizes differ: {s.size} vs {t.size}")
     if s.size == 0:
         return MatchResult(True, (), 0.0)
+    # imported here: scipy.optimize dominates the package's import time
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(s[:, None] - t[None, :])
     rows, cols = linear_sum_assignment(cost)
     worst = float(np.max(cost[rows, cols]))

@@ -1,24 +1,18 @@
 """Spectral set computation, branch tracking and asymptotic fits.
 
 For a deformation parameter xi the spectral set Sigma_xi is the zero set of
-det(theta - (xi/2) dz).  Clearing denominators against the punctures turns
-this into a polynomial of degree r*n whose roots at the punctures are
-deflated away, leaving the r_hat genuine spectral points.
+det(theta - (xi/2) dz).  Rank-factoring the residues linearizes this
+rational eigenproblem: the r_hat spectral points are the eigenvalues of an
+r_hat x r_hat Schur complement (Su & Bai, SIAM J. Matrix Anal. Appl. 2011).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .fields import ExplicitHiggsField, extract_data
-from .numkernel import (
-    cokernel_basis,
-    det_polymatrix,
-    poly_from_roots,
-    poly_roots,
-)
+from .fields import ExplicitHiggsField
+from .numkernel import cokernel_basis, poly_from_roots
 
 
 class SpectralError(RuntimeError):
@@ -26,7 +20,11 @@ class SpectralError(RuntimeError):
 
 
 class NonGenericError(SpectralError):
-    """Deflation mismatch: the sampled xi sits over the branch locus."""
+    """A spectral point lies on a puncture p_j, where theta_xi is undefined.
+
+    The sampled xi then sits over the locus where a branch meets a
+    puncture, and no cokernel exists there.
+    """
 
 
 @dataclass(frozen=True)
@@ -47,148 +45,63 @@ class BranchPath:
     coker_dims: tuple[int, ...]
 
 
-def _numerator_entries(field: ExplicitHiggsField, xi: complex) -> list[list[np.ndarray]]:
-    """Polynomial matrix ((A - xi)/2) prod(z - p_j) + sum_j C_j prod_{i != j}(z - p_i)."""
-    r = field.rank
-    punctures = field.punctures
-    full = poly_from_roots(punctures) if punctures.size else np.ones(1, dtype=complex)
-    partials = [
-        poly_from_roots(np.delete(punctures, j)) if punctures.size > 1 else np.ones(1, dtype=complex)
-        for j in range(punctures.size)
-    ]
-    lead = (field.a_diag - xi) / 2
-    deg = len(full)
-    entries: list[list[np.ndarray]] = []
-    for a in range(r):
-        row = []
-        for b in range(r):
-            coeffs = np.zeros(deg, dtype=complex)
-            if a == b:
-                coeffs[: len(full)] += lead[a] * full
-            for j in range(punctures.size):
-                coeffs[: len(partials[j])] += field.residues[j, a, b] * partials[j]
-            row.append(coeffs)
-        entries.append(row)
-    return entries
+def _schur_roots(field: ExplicitHiggsField, xi: complex) -> np.ndarray:
+    """The r_hat spectral points at xi, as eigenvalues of an r_hat x r_hat matrix.
 
-
-def undeflated_char_poly(field: ExplicitHiggsField, xi: complex) -> np.ndarray:
-    """Numerator determinant before deflation, degree r*n for generic xi."""
-    return det_polymatrix(_numerator_entries(field, xi))
-
-
-def char_poly_at(
-    field: ExplicitHiggsField,
-    xi: complex,
-    deflation_tol: float = 1e-6,
-) -> np.ndarray:
-    """Deflated characteristic polynomial of theta_xi in z (degree r_hat).
-
-    The numerator determinant carries a forced root of multiplicity r_j at
-    each p_j; it is removed by evaluating det(theta_xi(z)) times
-    prod_j (z - p_j)^(r - r_j) at interpolation nodes, which is the same
-    polynomial without ever extracting multiple roots numerically.
+    Each residue is rank-factored, C_j = U_j V_j^H with r - r_j columns, so
+    theta_xi(z) = D + U (zI - P)^-1 V^H with D = (A - xi)/2 and
+    P = diag(p_j, each repeated r - r_j times).  By the Schur complement
+    det theta_xi(z) prod_j (z - p_j)^(r - r_j) = det D det(zI - K) with
+    K = P - V^H D^-1 U, so the spectral points are exactly the eigenvalues
+    of K: the forced roots at the punctures never appear.
 
     Raises SpectralError when xi hits a leading eigenvalue (a puncture of
-    the transform) and NonGenericError when the coefficient tail reveals a
-    root count at some p_j differing from its regular dimension.
+    the transform) and NonGenericError when a point lands on a puncture,
+    where theta_xi is undefined.
     """
     scale = field.scale()
-    if any(abs(xi - a) <= 1e-12 * max(1.0, scale) for a in field.a_diag):
+    if any(abs(xi - a) <= 1e-12 * scale for a in field.a_diag):
         raise SpectralError(f"xi={xi} is a puncture of the transform")
     if field.punctures.size == 0:
         raise SpectralError("field has no finite singularity; spectral set is empty")
-    regs = _regular_dims(field)
-    r = field.rank
-    n = field.punctures.size
-    full_deg = r * n
-    r_hat = full_deg - sum(regs)
-    n_nodes = full_deg + 1
-    radius = 2.0 * (1.0 + float(np.max(np.abs(field.punctures))))
-    nodes = radius * np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
-    eye = np.eye(r)
-    values = np.empty(n_nodes, dtype=complex)
-    for i, z in enumerate(nodes):
-        det = np.linalg.det(field.matrix_at(z) - (xi / 2) * eye)
-        for p, rj in zip(field.punctures, regs):
-            det *= (z - p) ** (r - rj)
-        values[i] = det
-    coeffs = (np.fft.fft(values) / n_nodes) / radius ** np.arange(n_nodes)
-    mag = float(np.max(np.abs(coeffs)))
-    tail = coeffs[r_hat + 1 :]
-    if tail.size and float(np.max(np.abs(tail))) > deflation_tol * mag:
+    us, vhs, ps = [], [], []
+    for p, c in zip(field.punctures, field.residues):
+        u, s, vh = np.linalg.svd(c)
+        # the relative rank rule of numkernel.numerical_rank
+        k = int(np.sum(s > 1e-8 * s[0]))
+        us.append(u[:, :k] * s[:k])
+        vhs.append(vh[:k])
+        ps.append(np.full(k, p))
+    d = (field.a_diag - xi) / 2
+    p_all = np.concatenate(ps)
+    roots = np.linalg.eigvals(np.diag(p_all) - np.vstack(vhs) @ (np.hstack(us) / d[:, None]))
+    gap = np.abs(roots[:, None] - field.punctures[None, :])
+    if gap.size and gap.min() <= 1e-12 * scale:
+        i, j = np.unravel_index(gap.argmin(), gap.shape)
         raise NonGenericError(
-            f"deflation mismatch at xi={xi}: residual high-order coefficient "
-            f"{float(np.max(np.abs(tail))):.3e} (scale {mag:.3e})"
+            f"spectral point {roots[i]} at xi={xi} lies on the puncture {field.punctures[j]}"
         )
-    # the leading coefficient is det((A - xi)/2) exactly; near a group
-    # eigenvalue of multiplicity m it is legitimately O(rho^m), so compare
-    # against the closed form instead of flagging small values
-    expected_lead = complex(np.prod((field.a_diag - xi) / 2))
-    if abs(coeffs[r_hat] - expected_lead) > deflation_tol * max(mag, abs(expected_lead)):
-        raise NonGenericError(
-            f"leading coefficient {coeffs[r_hat]:.3e} deviates from "
-            f"det((A - xi)/2) = {expected_lead:.3e} at xi={xi}"
-        )
-    return np.asarray(coeffs[: r_hat + 1])
+    return roots
 
 
-def _deflated_roots(field, xi, deflation_tol=1e-6):
-    poly = char_poly_at(field, xi, deflation_tol)
-    roots = np.array([_polish_root(field, xi, q) for q in poly_roots(poly)])
-    return roots, _regular_dims(field)
+def char_poly_at(field: ExplicitHiggsField, xi: complex) -> np.ndarray:
+    """Characteristic polynomial of theta_xi in z, degree r_hat, ascending.
 
-
-def _polish_root(field, xi, q, max_iter=8):
-    """Newton refinement of a simple root of det(theta_xi) at the matrix level.
-
-    The interpolated polynomial carries coefficient roundoff that the
-    companion solver cannot undo; iterating q -= 1/tr(M^-1 M') on the
-    rational matrix itself restores machine-precision roots.  Clustered
-    (near-multiple) roots make the step unreliable, so it is rejected
-    whenever it fails to shrink or jumps by more than the initial error
-    estimate allows.
+    Its roots are the spectral points and its leading coefficient is
+    det((A - xi)/2): it is det theta_xi(z) times prod_j (z - p_j)^(r - r_j).
+    Raises SpectralError at a puncture of the transform.
     """
-    eye = np.eye(field.rank)
-    scale = max(field.scale(), abs(xi) / 2, 1.0)
-    best = complex(q)
-    for _ in range(max_iter):
-        m = field.matrix_at(best) - (xi / 2) * eye
-        d_m = -sum(
-            c / (best - p) ** 2 for c, p in zip(field.residues, field.punctures)
-        )
-        try:
-            trace = np.trace(np.linalg.solve(m, d_m))
-        except np.linalg.LinAlgError:
-            break
-        if trace == 0 or not np.isfinite(trace):
-            break
-        step = -1.0 / trace
-        if abs(step) > 0.1 * max(1.0, abs(best)) * scale:
-            break
-        best += step
-        if abs(step) <= 1e-16 * max(1.0, abs(best)):
-            break
-    if any(abs(best - p) < 1e-12 for p in field.punctures):
-        return complex(q)
-    return best
-
-
-def _regular_dims(field, tol: float = 1e-8):
-    from .numkernel import numerical_rank
-
-    r = field.rank
-    return [r - numerical_rank(c, tol) for c in field.residues]
+    leading = complex(np.prod((field.a_diag - xi) / 2))
+    return poly_from_roots(_schur_roots(field, xi), leading=leading)
 
 
 def spectral_points(
     field: ExplicitHiggsField,
     xi: complex,
     tol: float = 1e-8,
-    deflation_tol: float = 1e-6,
 ) -> SpectralSample:
     """Spectral points with cokernel dimensions of theta_xi at each point."""
-    roots, _ = _deflated_roots(field, xi, deflation_tol)
+    roots = _schur_roots(field, xi)
     ref = max(field.scale(), abs(xi) / 2)
     dims = []
     for q in roots:
@@ -212,31 +125,32 @@ class _StepRejected(Exception):
     pass
 
 
-def _match_step(field, xi, pts, deflation_tol):
+def _match_step(field, xi, pts):
     """One continuation step: match the points at xi against pts.
 
-    The assignment is accepted only when it is unambiguous: every matched
-    distance must be smaller than half the distance to any competing point
-    (in either multiset).  This lets fast-moving escaping branches advance
-    as long as they stay far from everything else.
+    Each old point takes its nearest new point.  The matching is accepted
+    only when that is a bijection and unambiguous: every matched distance
+    must be smaller than half the distance to any competing point (in
+    either multiset), which also makes it the unique minimal-cost
+    assignment.  This lets fast-moving escaping branches advance as long as
+    they stay far from everything else.
     """
-    sample = spectral_points(field, xi, deflation_tol=deflation_tol)
+    sample = spectral_points(field, xi)
     new = np.array(sample.points, dtype=complex)
     if new.size != pts.size:
         raise _StepRejected
     cost = np.abs(pts[:, None] - new[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    for i, j in zip(rows, cols):
+    cols = cost.argmin(axis=1)
+    if np.unique(cols).size != cols.size:
+        raise _StepRejected
+    for i, j in enumerate(cols):
         rivals = np.concatenate([np.delete(cost[i, :], j), np.delete(cost[:, j], i)])
         if rivals.size and cost[i, j] > 0.5 * float(rivals.min()):
             raise _StepRejected
-    order = np.argsort(rows)
-    matched = new[cols[order]]
-    dims_matched = [sample.coker_dims[c] for c in cols[order]]
-    return matched, dims_matched
+    return new[cols], [sample.coker_dims[c] for c in cols]
 
 
-def _advance_segment(field, a, b, pts, deflation_tol, max_subdivision=2**12):
+def _advance_segment(field, a, b, pts, max_subdivision=2**12):
     """Continue pts from xi=a to xi=b, uniformly refining on ambiguity."""
     n_sub = 1
     while True:
@@ -245,7 +159,7 @@ def _advance_segment(field, a, b, pts, deflation_tol, max_subdivision=2**12):
             dims = None
             for k in range(1, n_sub + 1):
                 xi = a + (b - a) * (k / n_sub)
-                cur, dims = _match_step(field, xi, cur, deflation_tol)
+                cur, dims = _match_step(field, xi, cur)
             return cur, dims
         except (_StepRejected, NonGenericError):
             n_sub *= 2
@@ -258,27 +172,26 @@ def _advance_segment(field, a, b, pts, deflation_tol, max_subdivision=2**12):
 def track_branches(
     field: ExplicitHiggsField,
     path,
-    deflation_tol: float = 1e-6,
     max_subdivision: int = 2**12,
 ) -> list[BranchPath]:
     """Continue the spectral points along a xi-path.
 
-    Consecutive samples are matched by minimal-cost assignment; a segment
-    is subdivided (up to max_subdivision intermediate steps) whenever the
+    Consecutive samples are matched nearest to nearest; a segment is
+    subdivided (up to max_subdivision intermediate steps) whenever the
     matching is ambiguous.  Samples are recorded at the requested path
     nodes only.
     """
     path = [complex(x) for x in path]
     if len(path) < 1:
         raise ValueError("empty path")
-    first = spectral_points(field, path[0], deflation_tol=deflation_tol)
+    first = spectral_points(field, path[0])
     current = np.array(first.points, dtype=complex)
     n_branches = current.size
     samples = [[(path[0], complex(q))] for q in current]
     dims = [[d] for d in first.coker_dims]
 
     for a, b in zip(path[:-1], path[1:]):
-        current, cur_dims = _advance_segment(field, a, b, current, deflation_tol, max_subdivision)
+        current, cur_dims = _advance_segment(field, a, b, current, max_subdivision)
         for i in range(n_branches):
             samples[i].append((b, complex(current[i])))
             dims[i].append(cur_dims[i])
@@ -415,12 +328,9 @@ def fit_infinity_asymptotics(
     return fits
 
 
-def transformed_eigenvalue_samples(
-    field: ExplicitHiggsField, xi: complex, deflation_tol: float = 1e-6
-) -> np.ndarray:
+def transformed_eigenvalue_samples(field: ExplicitHiggsField, xi: complex) -> np.ndarray:
     """Eigenvalue multiset of the transformed Higgs field at xi: -Sigma_xi / 2."""
-    roots, _ = _deflated_roots(field, xi, deflation_tol)
-    return -roots / 2
+    return -_schur_roots(field, xi) / 2
 
 
 def reducedness_probe(
@@ -440,7 +350,7 @@ def reducedness_probe(
             continue
         done += 1
         try:
-            roots, _ = _deflated_roots(field, xi)
+            roots = _schur_roots(field, xi)
         except NonGenericError:
             continue
         if _min_separation(roots) > sep_tol * max(1.0, float(np.max(np.abs(roots)))):

@@ -62,11 +62,7 @@ def involution_suite(count: int = 200, seed: int = 0, max_rank: int = 5, max_pun
             if out.degree != data.degree:
                 failures.append(f"{kind} instance {i}: degree changed")
             worst_par = max(worst_par, abs(moduli.parabolic_degree(out) - moduli.parabolic_degree(data)))
-            if isinstance(data, HiggsData):
-                sym = moduli.check_hypothesis(out).ok == moduli.check_hypothesis(data).ok
-            else:
-                sym = moduli.check_connection_hypothesis(out).ok == moduli.check_connection_hypothesis(data).ok
-            if not sym:
+            if moduli.hypothesis_report(out).ok != moduli.hypothesis_report(data).ok:
                 failures.append(f"{kind} instance {i}: hypothesis not preserved")
     checks = [
         CheckResult("involutivity", not failures, worst_inv, tol, "; ".join(failures[:3])),
@@ -174,7 +170,7 @@ def spectral_fiber_suite(
     max_rank: int = 4,
     max_punctures: int = 3,
 ) -> VerificationReport:
-    """Deflated root count, cokernel dimension sum and reducedness on a random corpus."""
+    """Spectral point count, cokernel dimension sum and reducedness on a random corpus."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     count_fail = []
@@ -204,11 +200,8 @@ def spectral_fiber_suite(
             if sample.total_coker_dim != r_hat:
                 coker_fail.append(f"field {i}: coker sum {sample.total_coker_dim} != {r_hat}")
             pts = np.array(sample.points)
-            if pts.size > 1:
-                d = np.abs(pts[:, None] - pts[None, :])
-                np.fill_diagonal(d, np.inf)
-                if d.min() <= 1e-6 * max(1.0, float(np.max(np.abs(pts)))):
-                    non_simple += 1
+            if spectral._min_separation(pts) <= 1e-6 * float(np.max(np.abs(pts), initial=1.0)):
+                non_simple += 1
     checks = [
         CheckResult("spectral point count = r_hat", not count_fail, float(len(count_fail)), 0.0, "; ".join(count_fail[:3])),
         CheckResult("cokernel dimension sum = r_hat", not coker_fail, float(len(coker_fail)), 0.0, "; ".join(coker_fail[:3])),
@@ -221,10 +214,7 @@ def instance_suite(data: SingularityData) -> VerificationReport:
     """Checks applicable to a single ingested datum."""
     start = time.perf_counter()
     checks = []
-    if isinstance(data, HiggsData):
-        hyp = moduli.check_hypothesis(data)
-    else:
-        hyp = moduli.check_connection_hypothesis(data)
+    hyp = moduli.hypothesis_report(data)
     checks.append(CheckResult("genericity hypothesis", hyp.ok, 0.0, 0.0, "; ".join(hyp.violations[:3])))
     tr = moduli.transformability_check(data)
     checks.append(CheckResult("transformability", tr.ok, 0.0, 0.0, f"r_hat={tr.r_hat}"))

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from nahmkit.fields import ExplicitHiggsField, _well_conditioned, extract_data, model_field
+from nahmkit.fields import ExplicitHiggsField, realize
 from nahmkit.moduli import (
     ConnectionData,
     InfinityGroup,
@@ -47,18 +47,6 @@ def _scalar(lam, a=0.0, p=0.0):
         np.array([p], dtype=complex),
         np.array([[[lam]]], dtype=complex),
     )
-
-
-def _conjugated(hd, seed):
-    """Conjugated realization of hd with its re-extracted ground-truth datum."""
-    field, _ = model_field(hd)
-    rng = np.random.default_rng(seed)
-    residues = np.empty_like(field.residues)
-    for j in range(field.punctures.size):
-        g = _well_conditioned(rng, field.rank)
-        residues[j] = g @ field.residues[j] @ np.linalg.inv(g)
-    conj = ExplicitHiggsField(field.a_diag, field.punctures, residues, field.weights)
-    return conj, extract_data(conj, weights=field.weights, degree=hd.degree)
 
 
 def test_criterion_1_involutivity():
@@ -116,7 +104,7 @@ def test_criterion_4_puncture_asymptotics():
     detail = ""
     for trial in range(3):
         hd = random_higgs_data(rng=rng, max_rank=3, max_punctures=2)
-        field, extracted = _conjugated(hd, seed=trial)
+        field, extracted = realize(hd, {"mode": "random", "seed": trial})
         for g in extracted.inf_groups:
             fits = fit_puncture_asymptotics(field, g.xi, radii=(1e-2, 1e-3, 1e-4))
             if len(fits) != g.multiplicity:
@@ -149,8 +137,8 @@ def test_criterion_5_infinity_asymptotics():
     ok = True
     detail = ""
     for trial in range(3):
-        hd = random_higgs_data(rng=rng, max_rank=3, max_punctures=2)
-        field, extracted = _conjugated(hd, seed=trial)
+        hd = random_higgs_data(rng=rng, max_rank=5, max_punctures=4)
+        field, extracted = realize(hd, {"mode": "random", "seed": trial})
         fits = fit_infinity_asymptotics(field)
         counts = {}
         for fit in fits:
@@ -193,7 +181,7 @@ def test_criterion_6_transformed_field_consistency():
     detail = ""
     for trial in range(3):
         hd = random_higgs_data(rng=rng, max_rank=3, max_punctures=2)
-        field, extracted = _conjugated(hd, seed=100 + trial)
+        field, extracted = realize(hd, {"mode": "random", "seed": 100 + trial})
         that = higgs_transform(extracted)
         # log points of the transform: residues of -q/2 give the entry values
         for lp in that.log_points:

@@ -1,10 +1,15 @@
 """End-to-end command-line behavior: exit codes, JSON reports, CSV output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import nahmkit
 from nahmkit.cli import main
 from nahmkit.nahm import data_match, higgs_transform
 from nahmkit.serialize import data_from_dict, data_to_dict
@@ -174,3 +179,11 @@ class TestLocalCheck:
         result = runner.invoke(main, ["local-check", t1_spec, "--count", "50"])
         assert result.exit_code == 0
         assert result.output.count("[PASS]") == 2
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize dominates the cold start; only multiset_match needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(nahmkit.__file__).parents[1]))
+    code = "import sys, nahmkit.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -102,7 +102,8 @@ class TestExtractData:
         vals = [e.value for e in hd.log_points[0].entries]
         assert max(abs(v) for v in vals) < 1e-8
         # data-level regular count (zero eigenvalues) disagrees with the
-        # numerical residue rank; spectral deflation flags this downstream
+        # numerical residue rank; spectral_points flags this downstream with
+        # NonGenericError (its one point sits on the puncture)
         assert hd.log_points[0].reg_count == 2
         assert numerical_rank(f.residues[0]) == 1
 

@@ -1,59 +1,18 @@
-"""Substrate tests: roots, eigenvalues, null spaces, determinants, matching."""
+"""Substrate tests: eigenvalues, null spaces, matching."""
 
 import numpy as np
 import pytest
 
 from nahmkit.numkernel import (
-    MAX_POLY_DEGREE,
-    NumericalError,
-    as_poly,
     cokernel_basis,
-    det_polymatrix,
     eigenvalues,
     multiset_match,
     numerical_rank,
-    poly_from_roots,
-    poly_roots,
 )
 
 
 def _sorted(zs):
     return sorted(np.asarray(zs).tolist(), key=lambda z: (z.real, z.imag))
-
-
-class TestPolyRoots:
-    def test_quadratic_factorization(self):
-        roots = poly_roots([-1, 0, 1])  # z^2 - 1
-        assert multiset_match(roots, [1, -1], 1e-10).ok
-
-    def test_double_root_at_zero(self):
-        roots = poly_roots([0, 0, 1])  # z^2
-        assert len(roots) == 2
-        assert max(abs(r) for r in roots) < 1e-6
-
-    def test_linear_from_scaling(self):
-        # q = 2*lam/xi with lam=1, xi=2 gives the monic linear factor z - 1
-        roots = poly_roots([-1, 1])
-        assert multiset_match(roots, [1], 1e-12).ok
-
-    def test_zero_polynomial_rejected(self):
-        with pytest.raises(ValueError, match="identically zero"):
-            poly_roots([0.0])
-
-    def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            poly_roots([1.0] * (MAX_POLY_DEGREE + 2))
-
-    def test_backward_error_contract(self, rng):
-        # refactoring the monic polynomial from its roots reproduces it
-        for _ in range(50):
-            deg = int(rng.integers(1, 13))
-            coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-            coeffs[-1] += 2.0  # keep the leading term away from zero
-            roots = poly_roots(coeffs, tol=1e-8)
-            rebuilt = poly_from_roots(roots, leading=coeffs[-1])
-            scale = np.max(np.abs(coeffs))
-            assert np.max(np.abs(rebuilt - as_poly(coeffs))) <= 1e-8 * scale
 
 
 class TestEigenvalues:
@@ -106,34 +65,6 @@ class TestCokernel:
         m = 1e-15 * np.ones((1, 1))
         assert cokernel_basis(m).shape[1] == 0
         assert cokernel_basis(m, scale=1.0).shape[1] == 1
-
-
-class TestDetPolymatrix:
-    def test_scalar(self):
-        d = det_polymatrix([[np.array([-1, 1])]])
-        assert np.allclose(d, [-1, 1])
-
-    def test_diagonal_is_product(self):
-        d = det_polymatrix([[[0, 1], [0]], [[0], [1, 1]]])
-        assert np.max(np.abs(d - np.array([0, 1, 1]))) <= 1e-12
-
-    def test_two_by_two_cofactor(self):
-        d = det_polymatrix([[[0, 1], [1]], [[1], [0, 1]]])
-        assert np.max(np.abs(d - np.array([-1, 0, 1]))) <= 1e-12
-
-    def test_random_diagonal_products(self, rng):
-        for _ in range(20):
-            r = int(rng.integers(1, 4))
-            diags = [rng.normal(size=int(rng.integers(1, 4))) + 0j for _ in range(r)]
-            entries = [
-                [diags[i] if i == j else np.zeros(1) for j in range(r)] for i in range(r)
-            ]
-            expected = np.ones(1, dtype=complex)
-            for dpoly in diags:
-                expected = np.polynomial.polynomial.polymul(expected, dpoly)
-            got = det_polymatrix(entries)
-            scale = max(1.0, np.max(np.abs(expected)))
-            assert np.max(np.abs(as_poly(expected) - got)) <= 1e-12 * scale
 
 
 class TestMultisetMatch:

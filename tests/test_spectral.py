@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyadd, polyfromroots, polyroots
 
 from nahmkit.fields import ExplicitHiggsField, extract_data, model_field, random_field
-from nahmkit.moduli import HiggsData, InfinityGroup, LogPoint, WeightedEigen
-from nahmkit.numkernel import multiset_match, poly_roots
+from nahmkit.moduli import HiggsData, InfinityGroup, LogPoint, WeightedEigen, random_higgs_data
+from nahmkit.numkernel import multiset_match
 from nahmkit.spectral import (
+    NonGenericError,
     SpectralError,
     char_poly_at,
     fit_infinity_asymptotics,
@@ -15,7 +17,6 @@ from nahmkit.spectral import (
     spectral_points,
     track_branches,
     transformed_eigenvalue_samples,
-    undeflated_char_poly,
 )
 
 
@@ -34,23 +35,48 @@ def _diag_field(a_entries, residue_diags, punctures):
     )
 
 
+def _diagonal_roots(field, xi):
+    """Closed-form spectral points of a field with diagonal A and C_j.
+
+    Coordinate k contributes the zeros of the scalar function
+    (a_k - xi)/2 + sum_{j: lam_kj != 0} lam_kj/(z - p_j): the roots of its
+    cleared numerator, Newton-polished on the function itself.
+    """
+    out = []
+    for k, a in enumerate(field.a_diag):
+        lead = (a - xi) / 2
+        lams = field.residues[:, k, k]
+        ps, ls = field.punctures[lams != 0], lams[lams != 0]
+        numerator = lead * polyfromroots(ps)
+        for j in range(ps.size):
+            numerator = polyadd(numerator, ls[j] * polyfromroots(np.delete(ps, j)))
+        for z in polyroots(numerator):
+            for _ in range(8):
+                f = lead + np.sum(ls / (z - ps))
+                if f == 0:
+                    break
+                z = z + f / np.sum(ls / (z - ps) ** 2)
+            out.append(z)
+    return np.array(out)
+
+
 class TestCharPoly:
     def test_scalar_closed_form(self):
         # lam/z deformed by xi=2: root q = 2*lam/xi = 1
         poly = char_poly_at(_scalar_field(lam=1.0), 2.0)
-        roots = poly_roots(poly)
+        roots = polyroots(poly)
         assert multiset_match(roots, [1.0], 1e-10).ok
 
     def test_diagonal_entries_give_entrywise_roots(self):
         f = _diag_field([0.0, 0.0], [[0.4, -0.7]], [0.0])
-        roots = poly_roots(char_poly_at(f, 2.0))
+        roots = polyroots(char_poly_at(f, 2.0))
         assert multiset_match(roots, [0.4, -0.7], 1e-10).ok
 
     def test_nonzero_leading_eigenvalue(self):
         # A = diag(xi_1): root 2*lam/(xi - xi_1)
         f = _scalar_field(lam=0.3, a=1.5)
         xi = 2.5
-        roots = poly_roots(char_poly_at(f, xi))
+        roots = polyroots(char_poly_at(f, xi))
         assert multiset_match(roots, [2 * 0.3 / (xi - 1.5)], 1e-10).ok
 
     def test_puncture_of_the_transform_rejected(self):
@@ -66,15 +92,6 @@ class TestCharPoly:
             poly = char_poly_at(f, xi)
             assert len(poly) - 1 == sum(r - rj for rj in ranks)
 
-    def test_deflation_consistency(self, rng):
-        # the undeflated determinant vanishes to order r_j at each puncture
-        f = random_field(3, [0.0, 2.0], [1, 2], seed=5)
-        xi = 3.1 + 1.2j
-        roots = poly_roots(undeflated_char_poly(f, xi), tol=1e-6)
-        near_p0 = sum(1 for q in roots if abs(q - 0.0) < 1e-3)
-        near_p1 = sum(1 for q in roots if abs(q - 2.0) < 1e-3)
-        assert near_p0 == 1 and near_p1 == 2
-
 
 class TestSpectralPoints:
     def test_t1_diagonal_model(self, t1):
@@ -89,6 +106,24 @@ class TestSpectralPoints:
         for _ in range(20):
             xi = complex(rng.uniform(1, 3), rng.uniform(1, 3))
             assert len(spectral_points(f, xi).points) == 1
+
+    @pytest.mark.parametrize("radius", [1.0, 1e2, 1e3])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_diagonal_model_closed_form(self, seed, radius):
+        # at large |xi| the r - r_j points cluster within ~1/|xi| of each p_j
+        field, _ = model_field(random_higgs_data(seed=seed))
+        xi = radius * np.exp(0.37j)
+        got = spectral_points(field, xi).points
+        want = _diagonal_roots(field, xi)
+        pairs = multiset_match(got, want, np.inf).pairs
+        for i, j in pairs:
+            assert abs(got[i] - want[j]) <= 1e-8 * max(1.0, abs(want[j])), (got[i], want[j])
+
+    def test_point_on_a_puncture_is_non_generic(self):
+        # coordinate 0 has its point at 2*0.5/xi = 1 = p_1, where coordinate 1 has a pole
+        f = _diag_field([0.0, 0.0], [[0.5, 0.0], [0.0, 0.3]], [0.0, 1.0])
+        with pytest.raises(NonGenericError, match="lies on the puncture"):
+            spectral_points(f, 1.0)
 
     def test_collision_gives_multiple_root(self):
         # equal residues on both coordinates: the two branches coincide
@@ -129,7 +164,7 @@ class TestTracking:
         c1 = half1 * c[1, 1] + half2 * c[0, 0]
         c0 = np.linalg.det(c)
         disc = pm.polysub(pm.polymul(c1, c1), 4 * c0 * c2)
-        zeros = poly_roots(disc)
+        zeros = polyroots(disc)
         zeros = [z for z in zeros if min(abs(z - a1), abs(z - a2)) > 0.3]
         assert zeros, "no usable branch point in this configuration"
         center = min(zeros, key=abs)
