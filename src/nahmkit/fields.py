@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,22 +85,47 @@ class ExplicitHiggsField:
             raise DataError("equal A-entries must be contiguous")
         return out
 
-    def matrix_at(self, z: complex) -> np.ndarray:
-        """theta(z) stripped of the dz factor."""
-        m = np.diag(self.a_diag / 2).astype(complex)
-        for p, c in zip(self.punctures, self.residues):
-            if z == p:
-                raise ZeroDivisionError(f"evaluation at puncture {p}")
-            m = m + c / (z - p)
-        return m
+    def matrix_at(self, z) -> np.ndarray:
+        """theta(z) stripped of the dz factor.
 
-    def scale(self) -> float:
-        """Magnitude scale of the field data, for relative tolerances."""
+        A 1-D array of k points gives the (k, r, r) stack of values.
+        """
+        diff = np.asarray(z, dtype=complex)[..., None] - self.punctures
+        hit = np.nonzero(diff == 0)[-1]
+        if hit.size:
+            raise ZeroDivisionError(f"evaluation at puncture {self.punctures[hit[0]]}")
+        return np.einsum("...j,jab->...ab", 1 / diff, self.residues) + np.diag(self.a_diag / 2)
+
+    @cached_property
+    def residue_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stacked rank factorization (U, V^H, p_all) of the residues.
+
+        C_j = U_j V_j^H with r - r_j columns, by the relative rank rule of
+        numkernel.numerical_rank; U = [U_1 ... U_n] is r x r_hat, V^H stacks
+        the V_j^H rows, and p_all repeats p_j r - r_j times.  Read-only.
+        """
+        u, s, vh = np.linalg.svd(self.residues)
+        keep = s > 1e-8 * s[:, :1]
+        factors = (
+            np.ascontiguousarray((u * s[:, None, :]).transpose(1, 0, 2)[:, keep]),
+            vh[keep],
+            np.broadcast_to(self.punctures[:, None], keep.shape)[keep],
+        )
+        for arr in factors:
+            arr.setflags(write=False)
+        return factors
+
+    @cached_property
+    def _scale(self) -> float:
         vals = [1.0, float(np.max(np.abs(self.a_diag), initial=0.0))]
         if self.punctures.size:
             vals.append(float(np.max(np.abs(self.punctures))))
             vals.append(float(np.max(np.abs(self.residues))))
         return max(vals)
+
+    def scale(self) -> float:
+        """Magnitude scale of the field data, for relative tolerances."""
+        return self._scale
 
 
 def model_field(hd: HiggsData) -> tuple[ExplicitHiggsField, HiggsData]:

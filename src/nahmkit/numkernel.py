@@ -51,6 +51,11 @@ def eigenvalues(m) -> np.ndarray:
     return np.linalg.eigvals(m)
 
 
+def _null_dims(s: np.ndarray, tol: float, scale: float) -> np.ndarray:
+    """Count of singular values (last axis, descending) at or below tol * max(largest, scale)."""
+    return np.sum(s <= tol * np.maximum(s[..., :1], scale), axis=-1)
+
+
 def cokernel_basis(m, tol: float = 1e-8, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis of ker(M^H), columns of the returned array.
 
@@ -63,12 +68,15 @@ def cokernel_basis(m, tol: float = 1e-8, scale: float = 0.0) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     u, s, _ = np.linalg.svd(m)
-    if s.size == 0 or (s[0] == 0 and scale == 0.0):
-        return np.eye(m.shape[0], dtype=complex)
-    null_dim = int(np.sum(s <= tol * max(s[0], scale)))
-    if null_dim == 0:
-        return np.zeros((m.shape[0], 0), dtype=complex)
-    return u[:, -null_dim:]
+    return u[:, m.shape[0] - int(_null_dims(s, tol, scale)) :]
+
+
+def cokernel_dims(ms, tol: float = 1e-8, scale: float = 0.0) -> np.ndarray:
+    """dim ker(M^H) of each matrix in a (k, r, r) stack, by the rule of cokernel_basis."""
+    ms = _as_finite_array(ms, "matrices")
+    if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
+        raise ValueError(f"matrices must be a stack of square matrices, got shape {ms.shape}")
+    return _null_dims(np.linalg.svd(ms, compute_uv=False), tol, scale)
 
 
 def numerical_rank(m, tol: float = 1e-8) -> int:

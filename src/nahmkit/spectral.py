@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ExplicitHiggsField
-from .numkernel import cokernel_basis, poly_from_roots
+from .numkernel import cokernel_dims, poly_from_roots
 
 
 class SpectralError(RuntimeError):
@@ -48,7 +48,8 @@ class BranchPath:
 def _schur_roots(field: ExplicitHiggsField, xi: complex) -> np.ndarray:
     """The r_hat spectral points at xi, as eigenvalues of an r_hat x r_hat matrix.
 
-    Each residue is rank-factored, C_j = U_j V_j^H with r - r_j columns, so
+    Each residue is rank-factored once per field (field.residue_factors),
+    C_j = U_j V_j^H with r - r_j columns, so
     theta_xi(z) = D + U (zI - P)^-1 V^H with D = (A - xi)/2 and
     P = diag(p_j, each repeated r - r_j times).  By the Schur complement
     det theta_xi(z) prod_j (z - p_j)^(r - r_j) = det D det(zI - K) with
@@ -60,21 +61,13 @@ def _schur_roots(field: ExplicitHiggsField, xi: complex) -> np.ndarray:
     where theta_xi is undefined.
     """
     scale = field.scale()
-    if any(abs(xi - a) <= 1e-12 * scale for a in field.a_diag):
+    if np.any(np.abs(xi - field.a_diag) <= 1e-12 * scale):
         raise SpectralError(f"xi={xi} is a puncture of the transform")
     if field.punctures.size == 0:
         raise SpectralError("field has no finite singularity; spectral set is empty")
-    us, vhs, ps = [], [], []
-    for p, c in zip(field.punctures, field.residues):
-        u, s, vh = np.linalg.svd(c)
-        # the relative rank rule of numkernel.numerical_rank
-        k = int(np.sum(s > 1e-8 * s[0]))
-        us.append(u[:, :k] * s[:k])
-        vhs.append(vh[:k])
-        ps.append(np.full(k, p))
+    u, vh, p_all = field.residue_factors
     d = (field.a_diag - xi) / 2
-    p_all = np.concatenate(ps)
-    roots = np.linalg.eigvals(np.diag(p_all) - np.vstack(vhs) @ (np.hstack(us) / d[:, None]))
+    roots = np.linalg.eigvals(np.diag(p_all) - vh @ (u / d[:, None]))
     gap = np.abs(roots[:, None] - field.punctures[None, :])
     if gap.size and gap.min() <= 1e-12 * scale:
         i, j = np.unravel_index(gap.argmin(), gap.shape)
@@ -100,17 +93,15 @@ def spectral_points(
     xi: complex,
     tol: float = 1e-8,
 ) -> SpectralSample:
-    """Spectral points with cokernel dimensions of theta_xi at each point."""
+    """Spectral points with cokernel dimensions of theta_xi at each point.
+
+    The dimensions come from one stacked SVD of theta_xi at all points.
+    """
     roots = _schur_roots(field, xi)
-    ref = max(field.scale(), abs(xi) / 2)
-    dims = []
-    for q in roots:
-        m = field.matrix_at(q) - (xi / 2) * np.eye(field.rank)
-        dims.append(cokernel_basis(m, tol, scale=ref).shape[1])
+    ms = field.matrix_at(roots) - (xi / 2) * np.eye(field.rank)
+    dims = cokernel_dims(ms, tol, scale=max(field.scale(), abs(xi) / 2))
     order = np.lexsort((roots.imag, roots.real))
-    roots = roots[order]
-    dims = [dims[i] for i in order]
-    return SpectralSample(complex(xi), tuple(roots.tolist()), tuple(dims))
+    return SpectralSample(complex(xi), tuple(roots[order].tolist()), tuple(dims[order].tolist()))
 
 
 def _min_separation(points: np.ndarray) -> float:
@@ -125,28 +116,42 @@ class _StepRejected(Exception):
     pass
 
 
+def _unambiguous_match(cost: np.ndarray) -> np.ndarray:
+    """Column of the nearest new point for each old point (row) of cost.
+
+    The matching is accepted only when it is a bijection and unambiguous:
+    every matched distance must be smaller than half the distance to any
+    competing point (in either multiset), which also makes it the unique
+    minimal-cost assignment.  Raises _StepRejected otherwise.
+    """
+    if not cost.size:  # r_hat = 0: nothing to match
+        return np.zeros(0, dtype=int)
+    cols = cost.argmin(axis=1)
+    if np.unique(cols).size != cols.size:
+        raise _StepRejected
+    rows = np.arange(cols.size)
+    # cols is a bijection, so masking the matched entries leaves exactly the
+    # rivals of each pair in its row and in its column
+    masked = cost.copy()
+    masked[rows, cols] = np.inf
+    rivals = np.minimum(masked.min(axis=1), masked.min(axis=0)[cols])
+    if np.any(cost[rows, cols] > 0.5 * rivals):
+        raise _StepRejected
+    return cols
+
+
 def _match_step(field, xi, pts):
     """One continuation step: match the points at xi against pts.
 
-    Each old point takes its nearest new point.  The matching is accepted
-    only when that is a bijection and unambiguous: every matched distance
-    must be smaller than half the distance to any competing point (in
-    either multiset), which also makes it the unique minimal-cost
-    assignment.  This lets fast-moving escaping branches advance as long as
-    they stay far from everything else.
+    Each old point takes its nearest new point, when _unambiguous_match
+    accepts that.  This lets fast-moving escaping branches advance as long
+    as they stay far from everything else.
     """
     sample = spectral_points(field, xi)
     new = np.array(sample.points, dtype=complex)
     if new.size != pts.size:
         raise _StepRejected
-    cost = np.abs(pts[:, None] - new[None, :])
-    cols = cost.argmin(axis=1)
-    if np.unique(cols).size != cols.size:
-        raise _StepRejected
-    for i, j in enumerate(cols):
-        rivals = np.concatenate([np.delete(cost[i, :], j), np.delete(cost[:, j], i)])
-        if rivals.size and cost[i, j] > 0.5 * float(rivals.min()):
-            raise _StepRejected
+    cols = _unambiguous_match(np.abs(pts[:, None] - new[None, :]))
     return new[cols], [sample.coker_dims[c] for c in cols]
 
 
@@ -353,6 +358,6 @@ def reducedness_probe(
             roots = _schur_roots(field, xi)
         except NonGenericError:
             continue
-        if _min_separation(roots) > sep_tol * max(1.0, float(np.max(np.abs(roots)))):
+        if _min_separation(roots) > sep_tol * float(np.max(np.abs(roots), initial=1.0)):
             good += 1
     return good / n_samples

@@ -69,6 +69,54 @@ class TestRandomField:
             random_field(2, [0.0], [2], seed=0)
 
 
+class TestEvaluation:
+    def test_stacked_points_match_scalar_calls(self, rng):
+        f = random_field(4, [0.0, 1.0 + 0.5j, -1.0], [1, 2, 0], seed=5)
+        zs = rng.uniform(-2, 2, size=6) + 1j * rng.uniform(-2, 2, size=6)
+        stack = f.matrix_at(zs)
+        assert stack.shape == (6, 4, 4)
+        for z, m in zip(zs, stack):
+            assert f.matrix_at(z).shape == (4, 4)
+            assert np.allclose(m, f.matrix_at(z), rtol=1e-13, atol=1e-13)
+
+    def test_scalar_call_is_the_sum_of_poles(self):
+        f = random_field(3, [0.0, 1.0j], [1, 0], seed=2)
+        z = 0.3 - 0.4j
+        want = np.diag(f.a_diag / 2) + sum(c / (z - p) for p, c in zip(f.punctures, f.residues))
+        assert np.allclose(f.matrix_at(z), want, rtol=1e-13, atol=1e-13)
+
+    def test_any_point_on_a_puncture_raises(self):
+        f = random_field(2, [0.0, 1.0j], [1, 0], seed=2)
+        with pytest.raises(ZeroDivisionError, match="puncture 1j"):
+            f.matrix_at(np.array([0.5, 1.0j, 2.0]))
+        with pytest.raises(ZeroDivisionError):
+            f.matrix_at(0.0)
+
+
+class TestResidueFactors:
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_factors_reproduce_residues(self, r, rng):
+        n = int(rng.integers(1, 4))
+        ranks = [int(rng.integers(0, r)) for _ in range(n)]
+        f = random_field(r, np.arange(n) * (1 + 0.5j), ranks, seed=int(rng.integers(0, 2**32)))
+        u, vh, p_all = f.residue_factors
+        assert u.shape == (r, sum(r - rj for rj in ranks)) and vh.shape == u.shape[::-1]
+        for p, c in zip(f.punctures, f.residues):
+            cols = p_all == p
+            assert np.max(np.abs(u[:, cols] @ vh[cols] - c)) <= 1e-12
+
+    def test_cached_and_read_only(self):
+        f = random_field(3, [0.0, 1.0], [1, 2], seed=9)
+        assert f.residue_factors is f.residue_factors
+        for arr in f.residue_factors:
+            assert not arr.flags.writeable
+
+    def test_zero_residue_has_no_factor(self):
+        f = ExplicitHiggsField(np.array([0.5]), np.array([0.0]), np.zeros((1, 1, 1)))
+        u, vh, p_all = f.residue_factors
+        assert u.shape == (1, 0) and vh.shape == (0, 1) and p_all.size == 0
+
+
 class TestExtractData:
     def test_diagonal_model_roundtrip(self, t1):
         field, _ = model_field(t1)

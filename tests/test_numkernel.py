@@ -5,6 +5,7 @@ import pytest
 
 from nahmkit.numkernel import (
     cokernel_basis,
+    cokernel_dims,
     eigenvalues,
     multiset_match,
     numerical_rank,
@@ -65,6 +66,19 @@ class TestCokernel:
         m = 1e-15 * np.ones((1, 1))
         assert cokernel_basis(m).shape[1] == 0
         assert cokernel_basis(m, scale=1.0).shape[1] == 1
+
+
+    def test_stacked_dims_follow_the_basis_rule(self):
+        ms = np.array([np.eye(2), np.zeros((2, 2)), np.diag([1.0, 0.0]), 1e-15 * np.eye(2)])
+        assert cokernel_dims(ms).tolist() == [cokernel_basis(m).shape[1] for m in ms] == [0, 2, 1, 0]
+        assert cokernel_dims(ms, scale=1.0).tolist() == [0, 2, 1, 2]
+        assert cokernel_dims(np.zeros((0, 3, 3))).shape == (0,)
+
+    def test_stacked_dims_reject_bad_input(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            cokernel_dims(np.full((1, 2, 2), np.nan))
+        with pytest.raises(ValueError, match="square"):
+            cokernel_dims(np.zeros((2, 2)))
 
 
 class TestMultisetMatch:

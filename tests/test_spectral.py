@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.polynomial.polynomial import polyadd, polyfromroots, polyroots
 
 from nahmkit.fields import ExplicitHiggsField, extract_data, model_field, random_field
 from nahmkit.moduli import HiggsData, InfinityGroup, LogPoint, WeightedEigen, random_higgs_data
-from nahmkit.numkernel import multiset_match
+from nahmkit.numkernel import cokernel_basis, multiset_match
 from nahmkit.spectral import (
     NonGenericError,
     SpectralError,
+    _StepRejected,
+    _unambiguous_match,
     char_poly_at,
     fit_infinity_asymptotics,
     fit_puncture_asymptotics,
@@ -133,6 +138,72 @@ class TestSpectralPoints:
         assert abs(s.points[0] - s.points[1]) < 1e-6
 
 
+class TestCokernelDims:
+    @staticmethod
+    def _per_root_dims(field, xi, points, tol=1e-8):
+        ref = max(field.scale(), abs(xi) / 2)
+        return tuple(
+            cokernel_basis(field.matrix_at(q) - (xi / 2) * np.eye(field.rank), tol, scale=ref).shape[1]
+            for q in points
+        )
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_stacked_dims_match_per_root_bases(self, r, rng):
+        for _ in range(5):
+            n = int(rng.integers(1, 4))
+            ranks = [int(rng.integers(0, r)) for _ in range(n)]
+            punctures = np.arange(n) * (0.9 - 0.6j)
+            f = random_field(r, punctures, ranks, seed=int(rng.integers(0, 2**32)))
+            xi = complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) * f.scale()
+            s = spectral_points(f, xi)
+            assert s.coker_dims == self._per_root_dims(f, xi, s.points)
+
+    def test_two_dimensional_cokernel(self):
+        # A = diag(a, a), C = diag(lam, lam): theta_xi vanishes at the double point
+        f = _diag_field([0.5, 0.5], [[0.3 + 0.1j, 0.3 + 0.1j]], [0.2])
+        xi = 2.0 - 1.0j
+        s = spectral_points(f, xi)
+        assert s.coker_dims == (2, 2)
+        assert s.coker_dims == self._per_root_dims(f, xi, s.points)
+
+
+def _loop_rival_check(cost):
+    """The per-row loop that _unambiguous_match replaces: cols, or None on rejection."""
+    cols = cost.argmin(axis=1)
+    if np.unique(cols).size != cols.size:
+        return None
+    for i, j in enumerate(cols):
+        rivals = np.concatenate([np.delete(cost[i, :], j), np.delete(cost[:, j], i)])
+        if rivals.size and cost[i, j] > 0.5 * float(rivals.min()):
+            return None
+    return cols
+
+
+class TestUnambiguousMatch:
+    # small integer costs make ties, and exact factor-two margins, common
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: arrays(np.float64, (n, n), elements=st.integers(0, 6).map(float))
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_same_verdict_as_the_loop(self, cost):
+        want = _loop_rival_check(cost)
+        before = cost.copy()
+        try:
+            got = _unambiguous_match(cost)
+        except _StepRejected:
+            got = None
+        assert np.array_equal(cost, before)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and np.array_equal(got, want)
+
+    def test_empty_cost_matches_nothing(self):
+        assert _unambiguous_match(np.zeros((0, 0))).size == 0
+
+
 class TestTracking:
     def test_scalar_branch_is_closed_form(self):
         f = _scalar_field(lam=1.0)
@@ -179,6 +250,12 @@ class TestTracking:
         # the sheets come back permuted nontrivially
         assert abs(ends[0] - starts[1]) < 1e-6 and abs(ends[1] - starts[0]) < 1e-6
         assert abs(ends[0] - starts[0]) > 1e-3
+
+    def test_no_spectral_points_gives_no_branches(self):
+        # all residues zero: r_hat = 0 and every sample is empty
+        f = ExplicitHiggsField([0.5], [0], np.zeros((1, 1, 1)))
+        assert spectral_points(f, 1 + 1j).points == ()
+        assert track_branches(f, [1 + 1j, 2 + 1j]) == []
 
 
 class TestPunctureAsymptotics:
@@ -279,3 +356,7 @@ class TestReducedness:
 
     def test_rank_one(self):
         assert reducedness_probe(_scalar_field(lam=0.7, a=0.2), 100, seed=7) == 1.0
+
+    def test_no_spectral_points_counts_as_simple(self):
+        f = ExplicitHiggsField([0.5], [0], np.zeros((1, 1, 1)))
+        assert reducedness_probe(f, 50, seed=7) == 1.0
