@@ -172,10 +172,7 @@ def spectral_scan(spec, xi_path, around, radii, out):
             _fail_parse(f"--radii {radii!r} is not a comma-separated list of numbers")
         if not rr or rr[0] <= 0:
             _fail_parse("--radii must be positive")
-        center = data.inf_groups[around].xi
-        nodes, _ = spectral._geometric_path(center, rr[-1], rr[0], np.exp(0.37j))
-        extra = [center + rho * np.exp(0.37j) for rho in rr]
-        path = sorted(set(nodes) | set(extra), key=lambda x: -abs(x - center))
+        path = spectral.approach_path(data.inf_groups[around].xi, rr[-1], rr[0], rr)
     try:
         branches = spectral.track_branches(field, path)
     except spectral.SpectralError as exc:
@@ -196,22 +193,15 @@ def local_check(spec, count, seed):
     """Polar-model decomposition and gauge identity for the datum in SPEC."""
     data, _ = _load_data(spec)
     cd = data if isinstance(data, ConnectionData) else moduli.higgs_to_connection(data)
-    worst_decomp = 0.0
-    for lp in cd.log_points:
-        for e in lp.entries:
-            models = fields.local_models_at(e.value, e.weight, picture="connection")
-            worst_decomp = max(worst_decomp, (models.d_full - (models.d_plus + models.phi)).max_abs())
+    entries = [e for lp in cd.log_points for e in lp.entries]
+    worst_decomp = max((verification.decomposition_residual(e.value, e.weight) for e in entries), default=0.0)
     rng = np.random.default_rng(seed)
-    worst_gauge = 0.0
-    for _ in range(count):
-        omega = fields.LocalForm(*(complex(a, b) for a, b in rng.uniform(-3, 3, size=(4, 2))))
-        xi = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        worst_gauge = max(worst_gauge, fields.gauge_relation_check(omega, xi, z))
-    ok_decomp = worst_decomp <= 1e-12
-    ok_gauge = worst_gauge <= 1e-14
-    click.echo(f"[{'PASS' if ok_decomp else 'FAIL'}] local :: D = D+ + Phi (residual {worst_decomp:.3e}, tol 1e-12)")
-    click.echo(f"[{'PASS' if ok_gauge else 'FAIL'}] local :: gauge relation (residual {worst_gauge:.3e}, tol 1e-14)")
+    worst_gauge = max((verification.gauge_residual(rng) for _ in range(count)), default=0.0)
+    tol_decomp, tol_gauge = verification.DECOMPOSITION_TOL, verification.GAUGE_TOL
+    ok_decomp = worst_decomp <= tol_decomp
+    ok_gauge = worst_gauge <= tol_gauge
+    click.echo(f"[{'PASS' if ok_decomp else 'FAIL'}] local :: D = D+ + Phi (residual {worst_decomp:.3e}, tol {tol_decomp:g})")
+    click.echo(f"[{'PASS' if ok_gauge else 'FAIL'}] local :: gauge relation (residual {worst_gauge:.3e}, tol {tol_gauge:g})")
     sys.exit(0 if ok_decomp and ok_gauge else CHECK_FAILURE)
 
 

@@ -6,7 +6,6 @@ optional annotation: they are metric data, not derivable from the field.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,7 +31,8 @@ class WeightAnnotation:
     log_weights[j] lists one weight per bundle coordinate at puncture j,
     aligned with the canonically sorted eigenvalues of C_j (zeros first);
     inf_weights[l] lists one weight per entry of infinity group l, aligned
-    with the sorted eigenvalues of the l-th diagonal block of sum_j C_j.
+    with the canonically sorted eigenvalues of the l-th diagonal block of
+    sum_j C_j.
     """
 
     log_weights: tuple[tuple[float, ...], ...]
@@ -142,11 +142,6 @@ def model_field(hd: HiggsData) -> tuple[ExplicitHiggsField, HiggsData]:
     a = np.concatenate([[g.xi] * g.multiplicity for g in hd.inf_groups]).astype(complex)
     punctures = np.array([lp.position for lp in hd.log_points], dtype=complex)
     residues = np.array([np.diag([e.value for e in lp.entries]) for lp in hd.log_points], dtype=complex)
-    annotation = WeightAnnotation(
-        log_weights=tuple(_zeros_first_weights(lp) for lp in hd.log_points),
-        inf_weights=tuple(tuple(e.weight for e in g.entries) for g in hd.inf_groups),
-    )
-    field = ExplicitHiggsField(a, punctures, residues, annotation)
     c_total = residues.sum(axis=0) if punctures.size else np.zeros((r, r), dtype=complex)
     inf_groups = []
     k = 0
@@ -160,6 +155,13 @@ def model_field(hd: HiggsData) -> tuple[ExplicitHiggsField, HiggsData]:
             )
         )
         k += m
+    annotation = WeightAnnotation(
+        log_weights=tuple(_zeros_first_weights(lp) for lp in hd.log_points),
+        inf_weights=tuple(
+            tuple(e.weight for e in sorted(g.entries, key=lambda e: _canon_key(e.value))) for g in inf_groups
+        ),
+    )
+    field = ExplicitHiggsField(a, punctures, residues, annotation)
     extracted = HiggsData(r, hd.degree, hd.log_points, tuple(inf_groups))
     return field, extracted
 

@@ -7,7 +7,7 @@ pullback of the input under z -> -z.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .moduli import (
     ConnectionData,
@@ -16,11 +16,8 @@ from .moduli import (
     LogPoint,
     SingularityData,
     WeightedEigen,
-    check_connection_hypothesis,
-    check_hypothesis,
     connection_to_higgs,
     hypothesis_report,
-    parabolic_degree,
     transformability_check,
 )
 from .numkernel import multiset_match
@@ -30,7 +27,23 @@ class TransformError(ValueError):
     """A transform precondition failed; the message names the clause."""
 
 
-def _transform(data: SingularityData, out_cls) -> SingularityData:
+def transform(data: SingularityData) -> SingularityData:
+    """Transform of a Higgs or connection datum satisfying the genericity hypothesis.
+
+    The output has the input's kind, rank r_hat and the same degree, one
+    logarithmic point at each leading eigenvalue xi_l with entries
+    (-lambda^inf_k, alpha^inf_k) padded by regular (0, 0) entries, and one
+    infinity group per original puncture with leading eigenvalue -p_j and
+    entries (-lambda^j_k, alpha^j_k) over the singular component; on the
+    connection side the same sign rules act on (mu, beta).  Raises
+    TypeError for any other type and TransformError when the hypothesis
+    or transformability fails.
+    """
+    if not isinstance(data, (HiggsData, ConnectionData)):
+        raise TypeError(f"unsupported data type {type(data).__name__}")
+    hyp = hypothesis_report(data)
+    if not hyp.ok:
+        raise TransformError("hypothesis failed: " + "; ".join(hyp.violations))
     report = transformability_check(data)
     if not report.ok:
         raise TransformError(
@@ -47,38 +60,17 @@ def _transform(data: SingularityData, out_cls) -> SingularityData:
     for lp in data.log_points:
         entries = tuple(WeightedEigen(-e.value, e.weight) for e in lp.singular_entries)
         inf_groups.append(InfinityGroup(-lp.position, entries))
-    return out_cls(r_hat, data.degree, tuple(log_points), tuple(inf_groups))
+    return type(data)(r_hat, data.degree, tuple(log_points), tuple(inf_groups))
 
 
 def higgs_transform(hd: HiggsData) -> HiggsData:
-    """Transform of a Higgs datum satisfying the genericity hypothesis.
-
-    The output has rank r_hat, the same degree, one logarithmic point at
-    each leading eigenvalue xi_l with entries (-lambda^inf_k, alpha^inf_k)
-    padded by regular (0, 0) entries, and one infinity group per original
-    puncture with leading eigenvalue -p_j and entries
-    (-lambda^j_k, alpha^j_k) over the singular component.
-    """
-    hyp = check_hypothesis(hd)
-    if not hyp.ok:
-        raise TransformError("hypothesis failed: " + "; ".join(hyp.violations))
-    return _transform(hd, HiggsData)
+    """Transform of a Higgs datum; see transform."""
+    return transform(hd)
 
 
 def connection_transform(cd: ConnectionData) -> ConnectionData:
-    """Transform of a connection datum, same sign rules on (mu, beta)."""
-    hyp = check_connection_hypothesis(cd)
-    if not hyp.ok:
-        raise TransformError("hypothesis failed: " + "; ".join(hyp.violations))
-    return _transform(cd, ConnectionData)
-
-
-def transform(data: SingularityData) -> SingularityData:
-    if isinstance(data, HiggsData):
-        return higgs_transform(data)
-    if isinstance(data, ConnectionData):
-        return connection_transform(data)
-    raise TypeError(f"unsupported data type {type(data).__name__}")
+    """Transform of a connection datum; see transform."""
+    return transform(cd)
 
 
 def pullback_minus(data: SingularityData) -> SingularityData:
@@ -98,6 +90,22 @@ def inverse_transform(data: SingularityData) -> SingularityData:
     return pullback_minus(transform(data))
 
 
+def _paired_components(a: SingularityData, b: SingularityData, tol: float):
+    """Log points paired by position, then infinity groups by leading eigenvalue.
+
+    Yields (match, location, entries_a, entries_b) per pair, where match is
+    the MatchResult of the positions (or leading eigenvalues) of that kind
+    and location names the component of a.
+    """
+    for comps_a, comps_b, key, name in (
+        (a.log_points, b.log_points, "position", "log point {}"),
+        (a.inf_groups, b.inf_groups, "xi", "infinity group xi={}"),
+    ):
+        m = multiset_match([getattr(c, key) for c in comps_a], [getattr(c, key) for c in comps_b], tol)
+        for i, j in m.pairs:
+            yield m, name.format(getattr(comps_a[i], key)), comps_a[i].entries, comps_b[j].entries
+
+
 def data_match(a: SingularityData, b: SingularityData, tol: float = 1e-12):
     """Multiset comparison of two data of the same kind.
 
@@ -111,28 +119,13 @@ def data_match(a: SingularityData, b: SingularityData, tol: float = 1e-12):
     if len(a.log_points) != len(b.log_points) or len(a.inf_groups) != len(b.inf_groups):
         return False, float("inf")
     worst = 0.0
-    pos_match = multiset_match(
-        [lp.position for lp in a.log_points], [lp.position for lp in b.log_points], tol
-    )
-    if not pos_match.ok:
-        return False, pos_match.max_distance
-    worst = max(worst, pos_match.max_distance)
-    for i, j in pos_match.pairs:
-        ok, res = _entries_match(a.log_points[i].entries, b.log_points[j].entries, tol)
+    for m, _, ea, eb in _paired_components(a, b, tol):
+        if not m.ok:
+            return False, m.max_distance
+        ok, res = _entries_match(ea, eb, tol)
         if not ok:
             return False, res
-        worst = max(worst, res)
-    xi_match = multiset_match(
-        [g.xi for g in a.inf_groups], [g.xi for g in b.inf_groups], tol
-    )
-    if not xi_match.ok:
-        return False, xi_match.max_distance
-    worst = max(worst, xi_match.max_distance)
-    for i, j in xi_match.pairs:
-        ok, res = _entries_match(a.inf_groups[i].entries, b.inf_groups[j].entries, tol)
-        if not ok:
-            return False, res
-        worst = max(worst, res)
+        worst = max(worst, m.max_distance, res)
     return True, worst
 
 
@@ -263,40 +256,8 @@ def dictionary_consistency_report(cd: ConnectionData) -> DictionaryConsistencyRe
     via_connection = connection_to_higgs(connection_transform(cd))
     via_higgs = higgs_transform(connection_to_higgs(cd))
     diffs: list[EntryDiscrepancy] = []
-
-    def compare(entries_a, entries_b, location):
-        m = multiset_match(
-            [e.value for e in entries_a], [e.value for e in entries_b], float("inf")
-        )
+    for _, location, ea, eb in _paired_components(via_connection, via_higgs, 1e-9):
+        m = multiset_match([e.value for e in ea], [e.value for e in eb], float("inf"))
         for i, j in m.pairs:
-            diffs.append(
-                EntryDiscrepancy(
-                    location,
-                    entries_a[i].value - entries_b[j].value,
-                    entries_a[i].weight - entries_b[j].weight,
-                )
-            )
-
-    pos = multiset_match(
-        [lp.position for lp in via_connection.log_points],
-        [lp.position for lp in via_higgs.log_points],
-        1e-9,
-    )
-    for i, j in pos.pairs:
-        compare(
-            via_connection.log_points[i].entries,
-            via_higgs.log_points[j].entries,
-            f"log point {via_connection.log_points[i].position}",
-        )
-    xi = multiset_match(
-        [g.xi for g in via_connection.inf_groups],
-        [g.xi for g in via_higgs.inf_groups],
-        1e-9,
-    )
-    for i, j in xi.pairs:
-        compare(
-            via_connection.inf_groups[i].entries,
-            via_higgs.inf_groups[j].entries,
-            f"infinity group xi={via_connection.inf_groups[i].xi}",
-        )
+            diffs.append(EntryDiscrepancy(location, ea[i].value - eb[j].value, ea[i].weight - eb[j].weight))
     return DictionaryConsistencyReport(tuple(diffs))

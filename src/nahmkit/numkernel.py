@@ -1,9 +1,7 @@
-"""Complex-arithmetic substrate: polynomials from roots, eigenvalues, null
-spaces and tolerant multiset matching.
+"""Complex-arithmetic substrate: eigenvalues, null spaces and tolerant
+multiset matching.
 
-Polynomials are 1-D complex ndarrays with coefficients in ascending degree
-order; matrices are 2-D complex ndarrays.  All routines reject non-finite
-input.
+Matrices are 2-D complex ndarrays.  All routines reject non-finite input.
 """
 from __future__ import annotations
 
@@ -19,26 +17,6 @@ def _as_finite_array(a, name: str) -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def as_poly(coeffs) -> np.ndarray:
-    """Normalize to ascending-coefficient form with nonzero leading term.
-
-    The zero polynomial is returned as a single zero coefficient.
-    """
-    c = _as_finite_array(coeffs, "poly")
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("polynomial must be a nonempty 1-D coefficient array")
-    nz = np.nonzero(c)[0]
-    if nz.size == 0:
-        return np.zeros(1, dtype=complex)
-    return c[: nz[-1] + 1]
-
-
-def poly_from_roots(roots, leading: complex = 1.0) -> np.ndarray:
-    """Monic-from-roots times `leading`, ascending coefficients."""
-    c = np.polynomial.polynomial.polyfromroots(np.asarray(roots, dtype=complex))
-    return as_poly(leading * c)
 
 
 def eigenvalues(m) -> np.ndarray:

@@ -12,7 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ExplicitHiggsField
-from .numkernel import cokernel_dims, poly_from_roots
+from .numkernel import cokernel_dims
+
+# direction of the radial approach paths: off the real and imaginary axes
+DIRECTION = np.exp(0.37j)
 
 
 class SpectralError(RuntimeError):
@@ -85,7 +88,7 @@ def char_poly_at(field: ExplicitHiggsField, xi: complex) -> np.ndarray:
     Raises SpectralError at a puncture of the transform.
     """
     leading = complex(np.prod((field.a_diag - xi) / 2))
-    return poly_from_roots(_schur_roots(field, xi), leading=leading)
+    return leading * np.polynomial.polynomial.polyfromroots(_schur_roots(field, xi))
 
 
 def spectral_points(
@@ -104,12 +107,13 @@ def spectral_points(
     return SpectralSample(complex(xi), tuple(roots[order].tolist()), tuple(dims[order].tolist()))
 
 
-def _min_separation(points: np.ndarray) -> float:
+def points_simple(points: np.ndarray, sep_tol: float = 1e-6) -> bool:
+    """Whether the points are pairwise separated by more than sep_tol * max(|points|, 1)."""
     if points.size < 2:
-        return np.inf
+        return True
     d = np.abs(points[:, None] - points[None, :])
     np.fill_diagonal(d, np.inf)
-    return float(d.min())
+    return float(d.min()) > sep_tol * float(np.max(np.abs(points), initial=1.0))
 
 
 class _StepRejected(Exception):
@@ -207,11 +211,16 @@ def track_branches(
     ]
 
 
-def _geometric_path(center: complex, r_outer: float, r_inner: float, direction: complex, per_decade: int = 8):
-    """Radial approach path from r_outer down to r_inner around center."""
-    n = max(2, int(np.ceil(per_decade * abs(np.log10(r_outer / r_inner)))) + 1)
-    radii = np.geomspace(r_outer, r_inner, n)
-    return [center + rho * direction for rho in radii], radii
+def approach_path(center: complex, r_from: float, r_to: float, radii, direction: complex = DIRECTION) -> list:
+    """Nodes center + rho * direction along a ray, ordered from r_from to r_to.
+
+    rho runs geometrically from r_from to r_to, 8 nodes per decade, plus
+    every radius in radii; nodes that coincide are kept once.
+    """
+    n = max(2, int(np.ceil(8 * abs(np.log10(r_from / r_to)))) + 1)
+    nodes = set(center + rho * direction for rho in np.geomspace(r_from, r_to, n))
+    nodes = nodes | set(center + rho * direction for rho in radii)
+    return sorted(nodes, key=lambda x: abs(x - center), reverse=r_from > r_to)
 
 
 @dataclass(frozen=True)
@@ -240,7 +249,7 @@ def fit_puncture_asymptotics(
     field: ExplicitHiggsField,
     xi_l: complex,
     radii=(1e-2, 1e-3, 1e-4),
-    direction: complex = None,
+    direction: complex = DIRECTION,
 ) -> list[PunctureBranchFit]:
     """Fits of the escaping branches as xi approaches a leading eigenvalue.
 
@@ -252,15 +261,10 @@ def fit_puncture_asymptotics(
     the O(rho) contamination from the next expansion term.
     """
     xi_l = complex(xi_l)
-    if direction is None:
-        direction = np.exp(0.37j)
     radii = sorted(float(r) for r in radii)
     r_inner, r_outer = radii[0], radii[-1]
     # one extra decade above the outermost radius feeds its fit window
-    path, _ = _geometric_path(xi_l, 10 * r_outer, r_inner, direction)
-    extra = [xi_l + rho * direction for rho in radii]
-    node_set = sorted(set(path) | set(extra), key=lambda x: -abs(x - xi_l))
-    branches = track_branches(field, node_set)
+    branches = track_branches(field, approach_path(xi_l, 10 * r_outer, r_inner, radii, direction))
     scale = field.scale()
     fits = []
     for br in branches:
@@ -298,24 +302,18 @@ class InfinityBranchFit:
 def fit_infinity_asymptotics(
     field: ExplicitHiggsField,
     radii=(1e2, 3e2, 1e3),
-    direction: complex = None,
+    direction: complex = DIRECTION,
 ) -> list[InfinityBranchFit]:
     """Least-squares fit q = p + 2*lam/xi per branch along a radial escape path.
 
     Branches partition into groups of size r - r_j converging to each p_j;
     each fit is assigned to the nearest puncture.
     """
-    if direction is None:
-        direction = np.exp(0.37j)
     radii = sorted(float(r) for r in radii)
     r_inner, r_outer = radii[0], radii[-1]
-    scale = field.scale()
-    if r_inner < 10 * scale:
+    if r_inner < 10 * field.scale():
         raise ValueError("innermost radius must dominate the field scale")
-    path, _ = _geometric_path(0.0, r_inner, r_outer, direction)  # outward
-    extra = [rho * direction for rho in radii]
-    node_set = sorted(set(path) | set(extra), key=abs)
-    branches = track_branches(field, node_set)
+    branches = track_branches(field, approach_path(0.0, r_inner, r_outer, radii, direction))
     fits = []
     for br in branches:
         xs = np.array([xi for xi, _ in br.samples])
@@ -358,6 +356,6 @@ def reducedness_probe(
             roots = _schur_roots(field, xi)
         except NonGenericError:
             continue
-        if _min_separation(roots) > sep_tol * float(np.max(np.abs(roots), initial=1.0)):
+        if points_simple(roots, sep_tol):
             good += 1
     return good / n_samples

@@ -6,7 +6,7 @@ wall time and the seeds that generated its corpus.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,6 +140,24 @@ def _critical_weight_bruteforce(mu: complex, beta: float, n_max: int = 1000) -> 
     return bool(np.min(vals) == 0.0)
 
 
+GAUGE_TOL = 1e-14
+DECOMPOSITION_TOL = 1e-12
+
+
+def gauge_residual(rng) -> float:
+    """Gauge identity residual at one draw of (omega, xi, z), in that order, from rng."""
+    omega = fields.LocalForm(*(complex(a, b) for a, b in rng.uniform(-3, 3, size=(4, 2))))
+    xi = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+    z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+    return fields.gauge_relation_check(omega, xi, z)
+
+
+def decomposition_residual(value: complex, weight: float) -> float:
+    """Coefficientwise residual of D = D+ + Phi for one connection-side entry."""
+    models = fields.local_models_at(value, weight, picture="connection")
+    return (models.d_full - (models.d_plus + models.phi)).max_abs()
+
+
 def local_identity_suite(count: int = 1000, seed: int = 0) -> VerificationReport:
     """Gauge identity residual and D = D+ + Phi coefficientwise."""
     start = time.perf_counter()
@@ -147,18 +165,13 @@ def local_identity_suite(count: int = 1000, seed: int = 0) -> VerificationReport
     worst_gauge = 0.0
     worst_decomp = 0.0
     for _ in range(count):
-        omega = fields.LocalForm(*(complex(a, b) for a, b in rng.uniform(-3, 3, size=(4, 2))))
-        xi = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        worst_gauge = max(worst_gauge, fields.gauge_relation_check(omega, xi, z))
+        worst_gauge = max(worst_gauge, gauge_residual(rng))
         mu = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         beta = rng.uniform(0, 1)
-        models = fields.local_models_at(mu, beta, picture="connection")
-        resid = (models.d_full - (models.d_plus + models.phi)).max_abs()
-        worst_decomp = max(worst_decomp, resid)
+        worst_decomp = max(worst_decomp, decomposition_residual(mu, beta))
     checks = [
-        _result("gauge relation", worst_gauge, 1e-14),
-        _result("polar decomposition D = D+ + Phi", worst_decomp, 1e-12),
+        _result("gauge relation", worst_gauge, GAUGE_TOL),
+        _result("polar decomposition D = D+ + Phi", worst_decomp, DECOMPOSITION_TOL),
     ]
     return VerificationReport("local identities", tuple(checks), seed, time.perf_counter() - start)
 
@@ -199,8 +212,7 @@ def spectral_fiber_suite(
                 count_fail.append(f"field {i}: {len(sample.points)} points, expected {r_hat}")
             if sample.total_coker_dim != r_hat:
                 coker_fail.append(f"field {i}: coker sum {sample.total_coker_dim} != {r_hat}")
-            pts = np.array(sample.points)
-            if spectral._min_separation(pts) <= 1e-6 * float(np.max(np.abs(pts), initial=1.0)):
+            if not spectral.points_simple(np.array(sample.points)):
                 non_simple += 1
     checks = [
         CheckResult("spectral point count = r_hat", not count_fail, float(len(count_fail)), 0.0, "; ".join(count_fail[:3])),

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 import nahmkit
 from nahmkit.cli import main
+from nahmkit.spectral import approach_path
 from nahmkit.nahm import data_match, higgs_transform
 from nahmkit.serialize import data_from_dict, data_to_dict
 
@@ -147,6 +148,14 @@ class TestSpectralScan:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         header = (tmp_path / "a.csv").read_text().splitlines()[0]
         assert header == "xi_re,xi_im,branch,q_re,q_im,coker_dim"
+
+    def test_around_xi_columns_are_the_approach_path(self, runner, t1_spec, t1):
+        result = runner.invoke(main, ["spectral-scan", t1_spec, "--around", "0"])
+        assert result.exit_code == 0
+        rows = [line.split(",") for line in result.output.strip().splitlines()[1:]]
+        got = [complex(float(row[0]), float(row[1])) for row in rows]
+        nodes = approach_path(t1.inf_groups[0].xi, 1e-2, 1e-4, (1e-4, 1e-3, 1e-2))
+        assert got == [x for x in nodes for _ in range(t1.r_hat)]
 
     def test_mode_exclusivity(self, runner, t1_spec):
         result = runner.invoke(main, ["spectral-scan", t1_spec])

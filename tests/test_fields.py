@@ -13,7 +13,8 @@ from nahmkit.fields import (
     model_field,
     random_field,
 )
-from nahmkit.moduli import HiggsData, InfinityGroup, LogPoint, WeightedEigen
+from nahmkit.moduli import HiggsData, InfinityGroup, LogPoint, WeightedEigen, random_higgs_data
+from nahmkit.nahm import data_match
 from nahmkit.numkernel import eigenvalues, multiset_match, numerical_rank
 
 
@@ -48,6 +49,15 @@ class TestModelField:
         total = field.residues.sum(axis=0)
         got = [e.value for g in extracted.inf_groups for e in g.entries]
         assert np.allclose(got, np.diag(total))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_annotation_weights_follow_extraction_order(self, seed):
+        # extract_data pairs the annotated weights with canonically sorted
+        # eigenvalues, so it must read back model_field's own datum exactly
+        hd = random_higgs_data(seed=seed)
+        field, extracted = model_field(hd)
+        ok, residual = data_match(extract_data(field, degree=hd.degree), extracted, 0.0)
+        assert ok, residual
 
 
 class TestRandomField:

@@ -7,6 +7,7 @@ from nahmkit.moduli import (
     HiggsData,
     InfinityGroup,
     LogPoint,
+    SingularityData,
     WeightedEigen,
     connection_to_higgs,
     parabolic_degree,
@@ -95,6 +96,11 @@ class TestForwardTransform:
         )
         with pytest.raises(TransformError, match="hypothesis failed"):
             higgs_transform(hd)
+
+    def test_bare_singularity_data_rejected(self, t1):
+        bare = SingularityData(t1.rank, t1.degree, t1.log_points, t1.inf_groups)
+        with pytest.raises(TypeError, match="SingularityData"):
+            transform(bare)
 
     def test_connection_side(self, rng):
         for _ in range(20):

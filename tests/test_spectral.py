@@ -11,10 +11,12 @@ from nahmkit.fields import ExplicitHiggsField, extract_data, model_field, random
 from nahmkit.moduli import HiggsData, InfinityGroup, LogPoint, WeightedEigen, random_higgs_data
 from nahmkit.numkernel import cokernel_basis, multiset_match
 from nahmkit.spectral import (
+    DIRECTION,
     NonGenericError,
     SpectralError,
     _StepRejected,
     _unambiguous_match,
+    approach_path,
     char_poly_at,
     fit_infinity_asymptotics,
     fit_puncture_asymptotics,
@@ -256,6 +258,32 @@ class TestTracking:
         f = ExplicitHiggsField([0.5], [0], np.zeros((1, 1, 1)))
         assert spectral_points(f, 1 + 1j).points == ()
         assert track_branches(f, [1 + 1j, 2 + 1j]) == []
+
+
+class TestApproachPath:
+    @pytest.mark.parametrize(
+        "center, r_from, r_to, radii",
+        [
+            (1 - 1j, 1e-2, 1e-4, (1e-2, 1e-3, 1e-4)),
+            (2.0, 1e-1, 1e-4, (1e-2, 1e-3, 1e-4)),
+            (0.0, 1e2, 1e3, (1e2, 3e2, 1e3)),
+            (0.5j, 1e-3, 1e-3, (1e-3,)),
+        ],
+    )
+    def test_ordered_from_r_from_to_r_to_with_every_radius(self, center, r_from, r_to, radii):
+        nodes = approach_path(center, r_from, r_to, radii)
+        dist = [abs(x - center) for x in nodes]
+        step = np.sign(r_to - r_from)
+        assert all(step * (b - a) > 0 for a, b in zip(dist, dist[1:]))
+        assert nodes[0] == center + r_from * DIRECTION
+        assert nodes[-1] == center + r_to * DIRECTION
+        for rho in radii:
+            assert center + rho * DIRECTION in nodes
+        assert np.allclose(np.angle((np.array(nodes) - center) / DIRECTION), 0.0)
+
+    def test_default_around_radii_give_seventeen_nodes(self):
+        # 8 per decade over two decades; 1e-3 falls on a geometric node
+        assert len(approach_path(2.0, 1e-2, 1e-4, (1e-4, 1e-3, 1e-2))) == 17
 
 
 class TestPunctureAsymptotics:
