@@ -128,7 +128,7 @@ def involution(spec):
 
 @main.command()
 @click.argument("spec", type=click.Path(), required=False)
-@click.option("--count", type=int, default=200, show_default=True, help="Random instances per suite.")
+@click.option("--count", type=click.IntRange(min=1), default=200, show_default=True, help="Random instances per suite.")
 @click.option("--seed", type=int, default=0, envvar="NAHMKIT_SEED", show_default=True)
 def verify(spec, count, seed):
     """Run the invariant suites on SPEC, or on a random corpus without it."""
@@ -163,6 +163,8 @@ def spectral_scan(spec, xi_path, around, radii, out):
             _fail_parse(f"--xi-path {xi_path!r} is not a ';'-separated list of 're,im' pairs")
         if not path:
             _fail_parse("--xi-path is empty")
+        if not np.all(np.isfinite(path)):
+            _fail_parse(f"--xi-path {xi_path!r} has a non-finite node")
     else:
         if not 0 <= around < len(data.inf_groups):
             _fail_parse(f"--around {around} out of range (datum has {len(data.inf_groups)} infinity groups)")
@@ -170,8 +172,8 @@ def spectral_scan(spec, xi_path, around, radii, out):
             rr = sorted(float(t) for t in radii.split(","))
         except ValueError:
             _fail_parse(f"--radii {radii!r} is not a comma-separated list of numbers")
-        if not rr or rr[0] <= 0:
-            _fail_parse("--radii must be positive")
+        if not rr or rr[0] <= 0 or not np.all(np.isfinite(rr)):
+            _fail_parse("--radii must be positive and finite")
         path = spectral.approach_path(data.inf_groups[around].xi, rr[-1], rr[0], rr)
     try:
         branches = spectral.track_branches(field, path)
@@ -187,7 +189,7 @@ def spectral_scan(spec, xi_path, around, radii, out):
 
 @main.command(name="local-check")
 @click.argument("spec", type=click.Path())
-@click.option("--count", type=int, default=1000, show_default=True, help="Random gauge-identity samples.")
+@click.option("--count", type=click.IntRange(min=1), default=1000, show_default=True, help="Random gauge-identity samples.")
 @click.option("--seed", type=int, default=0, envvar="NAHMKIT_SEED", show_default=True)
 def local_check(spec, count, seed):
     """Polar-model decomposition and gauge identity for the datum in SPEC."""

@@ -9,8 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_EIG_DIM = 16
-
 
 def _as_finite_array(a, name: str) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
@@ -20,12 +18,10 @@ def _as_finite_array(a, name: str) -> np.ndarray:
 
 
 def eigenvalues(m) -> np.ndarray:
-    """Eigenvalue multiset of a square matrix (dimension <= 16)."""
+    """Eigenvalue multiset of a square matrix."""
     m = _as_finite_array(m, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if m.shape[0] > MAX_EIG_DIM:
-        raise ValueError(f"dimension {m.shape[0]} exceeds supported maximum {MAX_EIG_DIM}")
     return np.linalg.eigvals(m)
 
 

@@ -17,6 +17,9 @@ from .numkernel import cokernel_dims
 # direction of the radial approach paths: off the real and imaginary axes
 DIRECTION = np.exp(0.37j)
 
+# smallest continuation step, as a fraction of a path segment
+MIN_STEP = 2.0**-12
+
 
 class SpectralError(RuntimeError):
     pass
@@ -91,18 +94,20 @@ def char_poly_at(field: ExplicitHiggsField, xi: complex) -> np.ndarray:
     return leading * np.polynomial.polynomial.polyfromroots(_schur_roots(field, xi))
 
 
+def _coker_dims(field: ExplicitHiggsField, xi: complex, roots: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Cokernel dimension of theta_xi at each root, from one stacked SVD."""
+    ms = field.matrix_at(roots) - (xi / 2) * np.eye(field.rank)
+    return cokernel_dims(ms, tol, scale=max(field.scale(), abs(xi) / 2))
+
+
 def spectral_points(
     field: ExplicitHiggsField,
     xi: complex,
     tol: float = 1e-8,
 ) -> SpectralSample:
-    """Spectral points with cokernel dimensions of theta_xi at each point.
-
-    The dimensions come from one stacked SVD of theta_xi at all points.
-    """
+    """Spectral points, sorted, with the cokernel dimension of theta_xi at each."""
     roots = _schur_roots(field, xi)
-    ms = field.matrix_at(roots) - (xi / 2) * np.eye(field.rank)
-    dims = cokernel_dims(ms, tol, scale=max(field.scale(), abs(xi) / 2))
+    dims = _coker_dims(field, xi, roots, tol)
     order = np.lexsort((roots.imag, roots.real))
     return SpectralSample(complex(xi), tuple(roots[order].tolist()), tuple(dims[order].tolist()))
 
@@ -144,70 +149,53 @@ def _unambiguous_match(cost: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _match_step(field, xi, pts):
-    """One continuation step: match the points at xi against pts.
+def _advance_segment(field, a, b, pts):
+    """Continue pts from xi=a to xi=b, halving only a rejected step.
 
-    Each old point takes its nearest new point, when _unambiguous_match
-    accepts that.  This lets fast-moving escaping branches advance as long
-    as they stay far from everything else.
+    The segment is walked in the fraction t of the way from a to b, the last
+    step solving at exactly b.  An ambiguous match, or a point on a
+    puncture, halves the step and keeps the points already accepted; the
+    step never grows again, and below MIN_STEP the segment fails.
     """
-    sample = spectral_points(field, xi)
-    new = np.array(sample.points, dtype=complex)
-    if new.size != pts.size:
-        raise _StepRejected
-    cols = _unambiguous_match(np.abs(pts[:, None] - new[None, :]))
-    return new[cols], [sample.coker_dims[c] for c in cols]
-
-
-def _advance_segment(field, a, b, pts, max_subdivision=2**12):
-    """Continue pts from xi=a to xi=b, uniformly refining on ambiguity."""
-    n_sub = 1
-    while True:
+    t, h = 0.0, 1.0
+    while t < 1.0:
+        # t and h are dyadic, so t + h never overshoots 1
+        end = t + h
         try:
-            cur = pts
-            dims = None
-            for k in range(1, n_sub + 1):
-                xi = a + (b - a) * (k / n_sub)
-                cur, dims = _match_step(field, xi, cur)
-            return cur, dims
+            new = _schur_roots(field, b if end == 1.0 else a + (b - a) * end)
+            pts = new[_unambiguous_match(np.abs(pts[:, None] - new[None, :]))]
         except (_StepRejected, NonGenericError):
-            n_sub *= 2
-            if n_sub > max_subdivision:
+            h /= 2
+            if h < MIN_STEP:
                 raise SpectralError(
                     f"unresolved branch collision between xi={a} and xi={b}"
                 ) from None
+        else:
+            t = end
+    return pts
 
 
-def track_branches(
-    field: ExplicitHiggsField,
-    path,
-    max_subdivision: int = 2**12,
-) -> list[BranchPath]:
+def track_branches(field: ExplicitHiggsField, path) -> list[BranchPath]:
     """Continue the spectral points along a xi-path.
 
-    Consecutive samples are matched nearest to nearest; a segment is
-    subdivided (up to max_subdivision intermediate steps) whenever the
-    matching is ambiguous.  Samples are recorded at the requested path
-    nodes only.
+    Each segment is walked by _advance_segment.  Samples and cokernel
+    dimensions are recorded at the requested path nodes only.
     """
     path = [complex(x) for x in path]
     if len(path) < 1:
         raise ValueError("empty path")
     first = spectral_points(field, path[0])
-    current = np.array(first.points, dtype=complex)
-    n_branches = current.size
-    samples = [[(path[0], complex(q))] for q in current]
-    dims = [[d] for d in first.coker_dims]
-
+    nodes = [np.array(first.points, dtype=complex)]
     for a, b in zip(path[:-1], path[1:]):
-        current, cur_dims = _advance_segment(field, a, b, current, max_subdivision)
-        for i in range(n_branches):
-            samples[i].append((b, complex(current[i])))
-            dims[i].append(cur_dims[i])
-
+        nodes.append(_advance_segment(field, a, b, nodes[-1]))
+    dims = [first.coker_dims] + [_coker_dims(field, xi, pts) for xi, pts in zip(path[1:], nodes[1:])]
     return [
-        BranchPath(("branch", i), tuple(samples[i]), tuple(dims[i]))
-        for i in range(n_branches)
+        BranchPath(
+            ("branch", i),
+            tuple((xi, complex(pts[i])) for xi, pts in zip(path, nodes)),
+            tuple(int(d[i]) for d in dims),
+        )
+        for i in range(nodes[0].size)
     ]
 
 

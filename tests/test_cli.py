@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 import nahmkit
 from nahmkit.cli import main
+from nahmkit.moduli import HiggsData, InfinityGroup, LogPoint, WeightedEigen
 from nahmkit.spectral import approach_path
 from nahmkit.nahm import data_match, higgs_transform
 from nahmkit.serialize import data_from_dict, data_to_dict
@@ -121,6 +122,11 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--count", "3"], env={"NAHMKIT_SEED": "11"})
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize("count", ["-2", "0"])
+    def test_count_below_one_is_a_parse_error(self, runner, count):
+        result = runner.invoke(main, ["verify", "--count", count, "--seed", "1"])
+        assert result.exit_code == 2
+
 
 class TestSpectralScan:
     def test_explicit_path_csv(self, runner, t1_spec):
@@ -173,6 +179,21 @@ class TestSpectralScan:
         result = runner.invoke(main, ["spectral-scan", t1_spec, "--around", "5"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--around", "0", "--radii", "nan"],
+            ["--around", "0", "--radii", "inf"],
+            ["--around", "0", "--radii", "1e-2,inf"],
+            ["--xi-path", "nan,0;1,1"],
+            ["--xi-path", "inf,0;1,1"],
+        ],
+    )
+    def test_non_finite_input_is_a_parse_error(self, runner, t1_spec, option):
+        result = runner.invoke(main, ["spectral-scan", t1_spec] + option)
+        assert result.exit_code == 2
+        assert "finite" in result.output
+
     def test_random_realization(self, runner, tmp_path, t1):
         obj = data_to_dict(t1)
         obj["realization"] = {"mode": "random", "seed": 4}
@@ -182,12 +203,29 @@ class TestSpectralScan:
         assert result.exit_code == 0
         assert len(result.output.strip().splitlines()) == 1 + 4
 
+    def test_random_realization_of_rank_seventeen(self, runner, tmp_path):
+        entries = tuple(WeightedEigen(0.3 + 0.1 * k + 0.05j, 0.5) for k in range(17))
+        obj = data_to_dict(HiggsData(17, 0, (LogPoint(0.0, entries),), (InfinityGroup(1.0, entries),)))
+        obj["realization"] = {"mode": "random", "seed": 4}
+        path = tmp_path / "rank17.json"
+        path.write_text(json.dumps(obj))
+        result = runner.invoke(main, ["spectral-scan", str(path), "--xi-path", "3,0;3,1"])
+        assert result.exit_code == 0
+        # 2 path nodes x r_hat = 17 branches
+        assert len(result.output.strip().splitlines()) == 1 + 34
+
 
 class TestLocalCheck:
     def test_pass(self, runner, t1_spec):
         result = runner.invoke(main, ["local-check", t1_spec, "--count", "50"])
         assert result.exit_code == 0
         assert result.output.count("[PASS]") == 2
+
+    @pytest.mark.parametrize("count", ["-3", "0"])
+    def test_count_below_one_is_a_parse_error(self, runner, t1_spec, count):
+        result = runner.invoke(main, ["local-check", t1_spec, "--count", count])
+        assert result.exit_code == 2
+        assert "[PASS]" not in result.output
 
 
 def test_import_leaves_scipy_optimize_unloaded():

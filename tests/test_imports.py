@@ -1,4 +1,4 @@
-"""Every import in the package modules is used."""
+"""Every import in the package modules and the tests is used."""
 
 import ast
 from pathlib import Path
@@ -8,6 +8,7 @@ import pytest
 import nahmkit
 
 MODULES = sorted(p for p in Path(nahmkit.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -24,7 +25,7 @@ def _unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 

@@ -30,9 +30,9 @@ class TestEigenvalues:
             m = g @ np.diag([0.3, -0.2]) @ np.linalg.inv(g)
             assert multiset_match(eigenvalues(m), [0.3, -0.2], 1e-8).ok
 
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            eigenvalues(np.eye(17))
+    def test_seventeen_dimensional_diagonal(self):
+        d = np.arange(1, 18) * (1 + 0.5j)
+        assert np.array_equal(np.sort_complex(eigenvalues(np.diag(d))), d)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):

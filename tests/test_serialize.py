@@ -2,7 +2,7 @@
 
 import pytest
 
-from nahmkit.moduli import ConnectionData, HiggsData
+from nahmkit.moduli import ConnectionData
 from nahmkit.serialize import SpecError, data_from_dict, data_to_dict, realization_from_dict
 
 

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.polynomial.polynomial import polyadd, polyfromroots, polyroots
 
+from nahmkit import spectral
 from nahmkit.fields import ExplicitHiggsField, extract_data, model_field, random_field
-from nahmkit.moduli import HiggsData, InfinityGroup, LogPoint, WeightedEigen, random_higgs_data
+from nahmkit.moduli import random_higgs_data
 from nahmkit.numkernel import cokernel_basis, multiset_match
 from nahmkit.spectral import (
     DIRECTION,
@@ -252,6 +253,26 @@ class TestTracking:
         # the sheets come back permuted nontrivially
         assert abs(ends[0] - starts[1]) < 1e-6 and abs(ends[1] - starts[0]) < 1e-6
         assert abs(ends[0] - starts[0]) > 1e-3
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_tracked_point_is_the_solve_at_its_node(self, seed):
+        a = -2.4368424793545906 - 2.8299151408679624j
+        b = 2.0145906235192186 - 0.40339759256967955j
+        assert a + (b - a) != b
+        f = random_field(3, [0.3, -0.5 + 0.2j], [1, 0], seed=seed)
+        ends = [br.samples[-1][1] for br in track_branches(f, [a, b])]
+        assert sorted(ends, key=lambda q: (q.real, q.imag)) == list(spectral_points(f, b).points)
+
+    def test_failure_is_bounded(self, monkeypatch):
+        # lam/z plus a zero-residue puncture at 1.0, where the branch
+        # q = 2/xi lands at the node xi = 2
+        f = ExplicitHiggsField([0], [0, 1.0], np.array([[[1.0]], [[0.0]]]))
+        calls = []
+        solve = spectral._schur_roots
+        monkeypatch.setattr(spectral, "_schur_roots", lambda *args: calls.append(args) or solve(*args))
+        with pytest.raises(SpectralError, match="unresolved branch collision"):
+            track_branches(f, [3.0, 2.0])
+        assert len(calls) <= 26
 
     def test_no_spectral_points_gives_no_branches(self):
         # all residues zero: r_hat = 0 and every sample is empty
