@@ -153,7 +153,6 @@ def verify(spec, count, seed):
 def spectral_scan(spec, xi_path, around, radii, out):
     """Track spectral branches along a xi-path and emit CSV."""
     data, realization = _load_data(spec)
-    field, _ = fields.realize(data, realization)
     if (xi_path is None) == (around is None):
         _fail_parse("exactly one of --xi-path and --around is required")
     if xi_path is not None:
@@ -175,6 +174,7 @@ def spectral_scan(spec, xi_path, around, radii, out):
         if not rr or rr[0] <= 0 or not np.all(np.isfinite(rr)):
             _fail_parse("--radii must be positive and finite")
         path = spectral.approach_path(data.inf_groups[around].xi, rr[-1], rr[0], rr)
+    field, _ = fields.realize(data, realization)
     try:
         branches = spectral.track_branches(field, path)
     except spectral.SpectralError as exc:

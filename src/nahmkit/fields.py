@@ -19,9 +19,10 @@ from .moduli import (
     LogPoint,
     SingularityData,
     WeightedEigen,
+    _distinct_values,
     connection_to_higgs,
 )
-from .numkernel import eigenvalues, numerical_rank
+from .numkernel import eigenvalues, numerical_rank, rank_mask
 
 
 @dataclass(frozen=True)
@@ -100,12 +101,12 @@ class ExplicitHiggsField:
     def residue_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stacked rank factorization (U, V^H, p_all) of the residues.
 
-        C_j = U_j V_j^H with r - r_j columns, by the relative rank rule of
-        numkernel.numerical_rank; U = [U_1 ... U_n] is r x r_hat, V^H stacks
-        the V_j^H rows, and p_all repeats p_j r - r_j times.  Read-only.
+        C_j = U_j V_j^H with r - r_j columns, by the rank rule of
+        numkernel.rank_mask; U = [U_1 ... U_n] is r x r_hat, V^H stacks the
+        V_j^H rows, and p_all repeats p_j r - r_j times.  Read-only.
         """
         u, s, vh = np.linalg.svd(self.residues)
-        keep = s > 1e-8 * s[:, :1]
+        keep = rank_mask(s)
         factors = (
             np.ascontiguousarray((u * s[:, None, :]).transpose(1, 0, 2)[:, keep]),
             vh[keep],
@@ -141,8 +142,8 @@ def model_field(hd: HiggsData) -> tuple[ExplicitHiggsField, HiggsData]:
     r = hd.rank
     a = np.concatenate([[g.xi] * g.multiplicity for g in hd.inf_groups]).astype(complex)
     punctures = np.array([lp.position for lp in hd.log_points], dtype=complex)
-    residues = np.array([np.diag([e.value for e in lp.entries]) for lp in hd.log_points], dtype=complex)
-    c_total = residues.sum(axis=0) if punctures.size else np.zeros((r, r), dtype=complex)
+    residues = np.array([np.diag([e.value for e in lp.entries]) for lp in hd.log_points], dtype=complex).reshape(-1, r, r)
+    c_total = residues.sum(axis=0)
     inf_groups = []
     k = 0
     for g in hd.inf_groups:
@@ -233,14 +234,7 @@ def random_field(
     a = np.concatenate([[xi] * m for xi, m in zip(xis, groups)]).astype(complex)
     residues = np.empty((punctures.size, r, r), dtype=complex)
     for j, rj in enumerate(ranks):
-        lams: list[complex] = []
-        while len(lams) < r - rj:
-            rad = rng.uniform(0.3, 1.2)
-            phi = rng.uniform(0, 2 * np.pi)
-            v = complex(rad * np.cos(phi), rad * np.sin(phi))
-            if all(abs(v - w) > 0.1 for w in lams):
-                lams.append(v)
-        d = np.diag([0.0] * rj + lams).astype(complex)
+        d = np.diag([0.0] * rj + _distinct_values(rng, r - rj, low=0.3, high=1.2, min_sep=0.1)).astype(complex)
         if conjugate:
             g = _well_conditioned(rng, r)
             residues[j] = g @ d @ np.linalg.inv(g)
@@ -286,7 +280,7 @@ def extract_data(
         ws = weights.log_weights[j] if weights is not None else (0.0,) * r
         entries = tuple(WeightedEigen(v, w) for v, w in zip(vals, ws))
         log_points.append(LogPoint(complex(p), entries))
-    c_total = field.residues.sum(axis=0) if field.punctures.size else np.zeros((r, r), dtype=complex)
+    c_total = field.residues.sum(axis=0)
     inf_groups = []
     for l, (xi, sl) in enumerate(slices):
         block = c_total[sl, sl]

@@ -25,9 +25,9 @@ def eigenvalues(m) -> np.ndarray:
     return np.linalg.eigvals(m)
 
 
-def _null_dims(s: np.ndarray, tol: float, scale: float) -> np.ndarray:
-    """Count of singular values (last axis, descending) at or below tol * max(largest, scale)."""
-    return np.sum(s <= tol * np.maximum(s[..., :1], scale), axis=-1)
+def rank_mask(s: np.ndarray, tol: float = 1e-8, scale: float = 0.0) -> np.ndarray:
+    """The rank rule: which singular values (last axis, descending) exceed tol * max(largest, scale)."""
+    return s > tol * np.maximum(s[..., :1], scale)
 
 
 def cokernel_basis(m, tol: float = 1e-8, scale: float = 0.0) -> np.ndarray:
@@ -42,7 +42,7 @@ def cokernel_basis(m, tol: float = 1e-8, scale: float = 0.0) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     u, s, _ = np.linalg.svd(m)
-    return u[:, m.shape[0] - int(_null_dims(s, tol, scale)) :]
+    return u[:, int(np.sum(rank_mask(s, tol, scale))) :]
 
 
 def cokernel_dims(ms, tol: float = 1e-8, scale: float = 0.0) -> np.ndarray:
@@ -50,15 +50,12 @@ def cokernel_dims(ms, tol: float = 1e-8, scale: float = 0.0) -> np.ndarray:
     ms = _as_finite_array(ms, "matrices")
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
         raise ValueError(f"matrices must be a stack of square matrices, got shape {ms.shape}")
-    return _null_dims(np.linalg.svd(ms, compute_uv=False), tol, scale)
+    return np.sum(~rank_mask(np.linalg.svd(ms, compute_uv=False), tol, scale), axis=-1)
 
 
 def numerical_rank(m, tol: float = 1e-8) -> int:
     m = _as_finite_array(m, "matrix")
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(rank_mask(np.linalg.svd(m, compute_uv=False), tol)))
 
 
 @dataclass(frozen=True)

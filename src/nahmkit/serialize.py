@@ -32,10 +32,6 @@ def _complex_from(obj, path: str) -> complex:
     return complex(obj[0], obj[1])
 
 
-def _complex_to(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
 def _entry_from(obj, path: str) -> WeightedEigen:
     if not isinstance(obj, dict):
         raise SpecError(f"{path}: expected an object")
@@ -59,29 +55,33 @@ def data_from_dict(obj: Any, path: str = "$") -> SingularityData:
     for key in ("rank", "degree"):
         if not isinstance(obj.get(key), int) or isinstance(obj.get(key), bool):
             raise SpecError(f"{path}.{key}: expected an integer")
-    log_points = []
-    for j, lp in enumerate(obj.get("log_points", [])):
-        p = f"{path}.log_points[{j}]"
-        if not isinstance(lp, dict) or "position" not in lp or "entries" not in lp:
-            raise SpecError(f"{p}: expected an object with 'position' and 'entries'")
-        entries = tuple(
-            _entry_from(e, f"{p}.entries[{k}]") for k, e in enumerate(lp["entries"])
-        )
-        log_points.append(LogPoint(_complex_from(lp["position"], f"{p}.position"), entries))
-    inf_groups = []
-    for l, g in enumerate(obj.get("inf_groups", [])):
-        p = f"{path}.inf_groups[{l}]"
-        if not isinstance(g, dict) or "xi" not in g or "entries" not in g:
-            raise SpecError(f"{p}: expected an object with 'xi' and 'entries'")
-        entries = tuple(
-            _entry_from(e, f"{p}.entries[{k}]") for k, e in enumerate(g["entries"])
-        )
-        inf_groups.append(InfinityGroup(_complex_from(g["xi"], f"{p}.xi"), entries))
+    log_points = _components_from(obj, path, "log_points", "position", LogPoint)
+    inf_groups = _components_from(obj, path, "inf_groups", "xi", InfinityGroup)
     cls = HiggsData if kind == "higgs" else ConnectionData
     try:
-        return cls(obj["rank"], obj["degree"], tuple(log_points), tuple(inf_groups))
+        return cls(obj["rank"], obj["degree"], log_points, inf_groups)
     except DataError as exc:
         raise SpecError(f"{path}: {exc}") from exc
+
+
+def _components_from(obj: dict, path: str, name: str, key: str, cls) -> tuple:
+    """Log points (key "position") or infinity groups (key "xi") of a spec."""
+    out = []
+    for j, c in enumerate(obj.get(name, [])):
+        p = f"{path}.{name}[{j}]"
+        if not isinstance(c, dict) or key not in c or "entries" not in c:
+            raise SpecError(f"{p}: expected an object with '{key}' and 'entries'")
+        entries = tuple(_entry_from(e, f"{p}.entries[{k}]") for k, e in enumerate(c["entries"]))
+        try:
+            out.append(cls(_complex_from(c[key], f"{p}.{key}"), entries))
+        except DataError as exc:
+            raise SpecError(f"{p}: {exc}") from exc
+    return tuple(out)
+
+
+def _component_to(key: str, at: complex, entries) -> dict:
+    values = [{"value": [e.value.real, e.value.imag], "weight": e.weight} for e in entries]
+    return {key: [at.real, at.imag], "entries": values}
 
 
 def data_to_dict(data: SingularityData) -> dict:
@@ -90,24 +90,8 @@ def data_to_dict(data: SingularityData) -> dict:
         "kind": kind,
         "rank": data.rank,
         "degree": data.degree,
-        "log_points": [
-            {
-                "position": _complex_to(lp.position),
-                "entries": [
-                    {"value": _complex_to(e.value), "weight": e.weight} for e in lp.entries
-                ],
-            }
-            for lp in data.log_points
-        ],
-        "inf_groups": [
-            {
-                "xi": _complex_to(g.xi),
-                "entries": [
-                    {"value": _complex_to(e.value), "weight": e.weight} for e in g.entries
-                ],
-            }
-            for g in data.inf_groups
-        ],
+        "log_points": [_component_to("position", lp.position, lp.entries) for lp in data.log_points],
+        "inf_groups": [_component_to("xi", g.xi, g.entries) for g in data.inf_groups],
     }
 
 

@@ -3,7 +3,10 @@
 For a deformation parameter xi the spectral set Sigma_xi is the zero set of
 det(theta - (xi/2) dz).  Rank-factoring the residues linearizes this
 rational eigenproblem: the r_hat spectral points are the eigenvalues of an
-r_hat x r_hat Schur complement (Su & Bai, SIAM J. Matrix Anal. Appl. 2011).
+r_hat x r_hat Schur complement K(xi) (Su & Bai, SIAM J. Matrix Anal. Appl.
+2011).  K is rational in xi, so the asymptotic fits track no branch: they take
+the power sums tr K^k as trapezoid means over circles, exact up to aliasing
+(Trefethen & Weideman, SIAM Rev. 2014), and solve Newton's identities.
 """
 from __future__ import annotations
 
@@ -12,13 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ExplicitHiggsField
-from .numkernel import cokernel_dims
+from .numkernel import cokernel_dims, rank_mask
 
-# direction of the radial approach paths: off the real and imaginary axes
+# direction of the radial approach paths and first circle node: off the real and imaginary axes
 DIRECTION = np.exp(0.37j)
 
 # smallest continuation step, as a fraction of a path segment
 MIN_STEP = 2.0**-12
+
+# trapezoid nodes on each circle of the asymptotic fits
+CIRCLE_NODES = 32
 
 
 class SpectralError(RuntimeError):
@@ -60,25 +66,25 @@ def _schur_roots(field: ExplicitHiggsField, xi: complex) -> np.ndarray:
     P = diag(p_j, each repeated r - r_j times).  By the Schur complement
     det theta_xi(z) prod_j (z - p_j)^(r - r_j) = det D det(zI - K) with
     K = P - V^H D^-1 U, so the spectral points are exactly the eigenvalues
-    of K: the forced roots at the punctures never appear.
+    of K: the forced roots at the punctures never appear.  A 1-D array of k
+    values of xi gives the (k, r_hat) stack of points.
 
     Raises SpectralError when xi hits a leading eigenvalue (a puncture of
     the transform) and NonGenericError when a point lands on a puncture,
     where theta_xi is undefined.
     """
     scale = field.scale()
-    if np.any(np.abs(xi - field.a_diag) <= 1e-12 * scale):
+    xi = np.asarray(xi, dtype=complex)
+    if np.any(np.abs(xi[..., None] - field.a_diag) <= 1e-12 * scale):
         raise SpectralError(f"xi={xi} is a puncture of the transform")
-    if field.punctures.size == 0:
-        raise SpectralError("field has no finite singularity; spectral set is empty")
     u, vh, p_all = field.residue_factors
-    d = (field.a_diag - xi) / 2
-    roots = np.linalg.eigvals(np.diag(p_all) - vh @ (u / d[:, None]))
-    gap = np.abs(roots[:, None] - field.punctures[None, :])
+    d = (field.a_diag - xi[..., None]) / 2
+    roots = np.linalg.eigvals(np.diag(p_all) - vh @ (u / d[..., :, None]))
+    gap = np.abs(roots[..., None] - field.punctures)
     if gap.size and gap.min() <= 1e-12 * scale:
-        i, j = np.unravel_index(gap.argmin(), gap.shape)
+        *node, i, j = np.unravel_index(gap.argmin(), gap.shape)
         raise NonGenericError(
-            f"spectral point {roots[i]} at xi={xi} lies on the puncture {field.punctures[j]}"
+            f"spectral point {roots[(*node, i)]} at xi={xi[tuple(node)]} lies on the puncture {field.punctures[j]}"
         )
     return roots
 
@@ -199,24 +205,47 @@ def track_branches(field: ExplicitHiggsField, path) -> list[BranchPath]:
     ]
 
 
-def approach_path(center: complex, r_from: float, r_to: float, radii, direction: complex = DIRECTION) -> list:
-    """Nodes center + rho * direction along a ray, ordered from r_from to r_to.
+def approach_path(center: complex, r_from: float, r_to: float, radii) -> list:
+    """Nodes center + rho * DIRECTION along a ray, ordered from r_from to r_to.
 
     rho runs geometrically from r_from to r_to, 8 nodes per decade, plus
     every radius in radii; nodes that coincide are kept once.
     """
     n = max(2, int(np.ceil(8 * abs(np.log10(r_from / r_to)))) + 1)
-    nodes = set(center + rho * direction for rho in np.geomspace(r_from, r_to, n))
-    nodes = nodes | set(center + rho * direction for rho in radii)
+    nodes = set(center + rho * DIRECTION for rho in np.geomspace(r_from, r_to, n))
+    nodes = nodes | set(center + rho * DIRECTION for rho in radii)
     return sorted(nodes, key=lambda x: abs(x - center), reverse=r_from > r_to)
+
+
+def _power_sums(values: np.ndarray, count: int) -> np.ndarray:
+    """Mean over rows (circle nodes) of sum_i values_i^k, for k = 1..count."""
+    return np.mean(np.sum(values[..., None] ** np.arange(1, count + 1), axis=-2), axis=0)
+
+
+def _roots_from_power_sums(sums) -> np.ndarray:
+    """Roots of the monic polynomial whose roots have the power sums sums (Newton's identities)."""
+    coeffs = [1.0 + 0j]
+    for k in range(1, len(sums) + 1):
+        coeffs.append(-sum(coeffs[k - i] * sums[i - 1] for i in range(1, k + 1)) / k)
+    return np.roots(coeffs)
+
+
+def _circle(field: ExplicitHiggsField, center: complex, radius: float, direction: complex, name: str):
+    """Offsets w on |w| = radius from the phase of direction, and the (CIRCLE_NODES, r_hat) points at center + w."""
+    xi = center + radius * np.exp(1j * (np.angle(direction) + 2 * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES))
+    try:
+        # the offset of the rounded node, exact (Sterbenz) when radius << |center|
+        return xi - center, _schur_roots(field, xi)
+    except NonGenericError as exc:
+        raise SpectralError(f"{name}={radius}: {exc}") from None
 
 
 @dataclass(frozen=True)
 class PunctureBranchFit:
     """One escaping branch near a transform puncture xi_l.
 
-    estimates[i] is q(xi) * (xi - xi_l) at radii[i]; the expected limit is
-    2 * lambda^inf_k for the corresponding group entry.
+    estimates[i] is q(xi) * (xi - xi_l) at radii[i], as a contour value; the
+    expected limit is 2 * lambda^inf_k for the corresponding group entry.
     """
 
     radii: tuple[float, ...]
@@ -239,42 +268,29 @@ def fit_puncture_asymptotics(
     radii=(1e-2, 1e-3, 1e-4),
     direction: complex = DIRECTION,
 ) -> list[PunctureBranchFit]:
-    """Fits of the escaping branches as xi approaches a leading eigenvalue.
+    """Fits of the escaping branches as xi approaches a leading eigenvalue xi_l.
 
-    Escaping branches are classified at the innermost radius by magnitude:
-    |q| must exceed scale/sqrt(radius), which separates the 1/radius growth
-    from the bounded branches for the supported instance scales.  The
-    estimate at a requested radius rho is the constant term of a quadratic
-    fit of q(xi)*(xi - xi_l) over the samples in [rho, 10*rho], which kills
-    the O(rho) contamination from the next expansion term.
+    w K(xi_l + w) is analytic for |w| below the distance d to the next leading
+    eigenvalue, so on a circle |w| = rho < d/2 the mean S_k of w^k sum_i q_i^k
+    is sum (2 lambda^inf)^k.  The branches number the rank of the Hankel matrix
+    [S_{i+j+1}], so a zero residue, which no power sum sees, is no branch.
+    estimates[i] is the root at radii[i] nearest the innermost one.
     """
-    xi_l = complex(xi_l)
-    radii = sorted(float(r) for r in radii)
-    r_inner, r_outer = radii[0], radii[-1]
-    # one extra decade above the outermost radius feeds its fit window
-    branches = track_branches(field, approach_path(xi_l, 10 * r_outer, r_inner, radii, direction))
-    scale = field.scale()
-    fits = []
-    for br in branches:
-        xi_in, q_in = br.samples[-1]
-        if abs(q_in) <= scale / np.sqrt(r_inner):
-            continue
-        ests = []
-        for rho in sorted(radii, reverse=True):
-            window = [
-                (xi - xi_l, q * (xi - xi_l))
-                for xi, q in br.samples
-                if rho * (1 - 1e-9) <= abs(xi - xi_l) <= 10 * rho * (1 + 1e-9)
-            ]
-            d = np.array([w[0] for w in window])
-            e = np.array([w[1] for w in window])
-            design = np.column_stack([np.ones_like(d), d, d * d])
-            sol, *_ = np.linalg.lstsq(design, e, rcond=None)
-            ests.append((rho, complex(sol[0])))
-        fits.append(
-            PunctureBranchFit(tuple(t[0] for t in ests), tuple(t[1] for t in ests))
-        )
-    return fits
+    radii = sorted((float(r) for r in radii), reverse=True)
+    in_group = np.abs(field.a_diag - xi_l) <= 1e-12 * field.scale()
+    d = np.min(np.abs(field.a_diag[~in_group] - xi_l), initial=np.inf)
+    if radii[0] >= d / 2:
+        raise SpectralError(f"rho={radii[0]} is not below half the distance {d} to the next leading eigenvalue")
+    m, unit = int(in_group.sum()), 2 * field.scale()
+    sums = [_power_sums(w[:, None] * q, 2 * m - 1) for w, q in (_circle(field, xi_l, r, direction, "rho") for r in radii)]
+    # S_k in units of (2 * scale)^k, so that the field scale floors the rank rule
+    ij = np.add.outer(np.arange(m), np.arange(m))
+    e = int(np.sum(rank_mask(np.linalg.svd(sums[-1][ij] / unit ** (ij + 1), compute_uv=False), 1e-8, 1.0)))
+    roots = [_roots_from_power_sums(s[:e]) for s in sums]
+    # a repeated residue is counted once by the rank and leaves later power sums unmatched
+    if np.any(np.abs(_power_sums(roots[-1][None], 2 * m - 1) - sums[-1]) > 1e-8 * unit ** np.arange(1, 2 * m)):
+        raise SpectralError(f"rho={radii[-1]}: the residues at xi={xi_l} are not distinct")
+    return [PunctureBranchFit(tuple(radii), tuple(complex(r[np.abs(r - x).argmin()]) for r in roots)) for x in roots[-1]]
 
 
 @dataclass(frozen=True)
@@ -292,31 +308,39 @@ def fit_infinity_asymptotics(
     radii=(1e2, 3e2, 1e3),
     direction: complex = DIRECTION,
 ) -> list[InfinityBranchFit]:
-    """Least-squares fit q = p + 2*lam/xi per branch along a radial escape path.
+    """Fits q = p_j + 2*lam/xi of the branches converging to each puncture p_j.
 
-    Branches partition into groups of size r - r_j converging to each p_j;
-    each fit is assigned to the nearest puncture.
+    On each circle |xi| = R the r - r_j points nearest p_j must lie within half
+    its distance to any other puncture; then S_k = mean xi^k sum (q - p_j)^k is
+    sum (2 lam)^k, and p_hat is p_j plus the mean of sum (q - p_j) / (r - r_j).
+    Values are the innermost radius's; residual is the largest gap to the
+    other radii and to the rule on the even nodes alone.
     """
     radii = sorted(float(r) for r in radii)
-    r_inner, r_outer = radii[0], radii[-1]
-    if r_inner < 10 * field.scale():
+    if radii[0] < 10 * field.scale():
         raise ValueError("innermost radius must dominate the field scale")
-    branches = track_branches(field, approach_path(0.0, r_inner, r_outer, radii, direction))
-    fits = []
-    for br in branches:
-        xs = np.array([xi for xi, _ in br.samples])
-        qs = np.array([q for _, q in br.samples])
-        # two correction orders beyond p + 2*lam/xi keep the 1/xi term clean;
-        # column scaling tames the wildly different magnitudes of the powers
-        design = np.column_stack([np.ones_like(xs), 1.0 / xs, xs**-2.0, xs**-3.0])
-        norms = np.linalg.norm(design, axis=0)
-        sol, *_ = np.linalg.lstsq(design / norms, qs, rcond=None)
-        sol = sol / norms
-        p_hat, two_lam = sol[0], sol[1]
-        resid = float(np.max(np.abs(design @ sol - qs))) if xs.size else 0.0
-        j = int(np.argmin(np.abs(field.punctures - p_hat)))
-        fits.append(InfinityBranchFit(complex(p_hat), complex(two_lam / 2), j, resid))
-    return fits
+    p = field.punctures
+    sizes = np.sum(field.residue_factors[2][:, None] == p, axis=0)
+    if not sizes.any():  # r_hat = 0: no spectral point, no branch
+        return []
+    half_gap = np.min(np.abs(p[:, None] - p) + np.diag(np.full(p.size, np.inf)), axis=1, initial=np.inf) / 2
+    fits = {j: [] for j in np.flatnonzero(sizes)}  # (p_hat, 2 lam) per radius and node rule
+    for radius in radii:
+        xi, q = _circle(field, 0.0, radius, direction, "R")
+        near = np.argmin(np.abs(q[..., None] - p), axis=-1)
+        dq = q - p[near]
+        if np.any(np.sum(near[..., None] == np.arange(p.size), axis=1) != sizes) or np.any(np.abs(dq) >= half_gap[near]):
+            raise SpectralError(f"R={radius}: the spectral points are not cleanly separated by puncture")
+        for nodes in (slice(None), slice(None, None, 2)):
+            for j, est in fits.items():
+                group = np.where(near[nodes] == j, dq[nodes], 0)
+                two_lam = _roots_from_power_sums(_power_sums(xi[nodes, None] * group, sizes[j]))
+                est.append((p[j] + group.sum(axis=1).mean() / sizes[j], two_lam))
+    return [
+        InfinityBranchFit(complex(p_hat), complex(x / 2), int(j), float(max(max(abs(ph - p_hat), np.abs(r - x).min()) for ph, r in rest)))
+        for j, ((p_hat, two_lam), *rest) in fits.items()
+        for x in two_lam
+    ]
 
 
 def transformed_eigenvalue_samples(field: ExplicitHiggsField, xi: complex) -> np.ndarray:

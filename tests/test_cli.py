@@ -62,6 +62,15 @@ class TestTransform:
         assert result.exit_code == 2
         assert "$.kind" in result.output
 
+    def test_log_point_without_entries_is_a_parse_error(self, runner, tmp_path, t1):
+        obj = data_to_dict(t1)
+        obj["log_points"][0]["entries"] = []
+        path = tmp_path / "no_entries.json"
+        path.write_text(json.dumps(obj))
+        result = runner.invoke(main, ["transform", str(path)])
+        assert result.exit_code == 2
+        assert "$.log_points[0]: log point needs at least one entry" in result.output
+
     def test_missing_file(self, runner):
         result = runner.invoke(main, ["transform", "/nonexistent.json"])
         assert result.exit_code == 2
@@ -170,6 +179,24 @@ class TestSpectralScan:
             main, ["spectral-scan", t1_spec, "--xi-path", "3,0", "--around", "0"]
         )
         assert both.exit_code == 2
+
+    def test_options_are_checked_before_realization(self, runner, t1_spec, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("realized before the options were checked")
+
+        monkeypatch.setattr(nahmkit.fields, "realize", forbidden)
+        for option in ([], ["--around", "5"], ["--xi-path", "3;x,y"], ["--around", "0", "--radii", "0"]):
+            assert runner.invoke(main, ["spectral-scan", t1_spec] + option).exit_code == 2
+
+    @pytest.mark.parametrize("option", [["--around", "0"], ["--xi-path", "3,0;3,1"]])
+    def test_datum_without_log_points_has_no_branches(self, runner, tmp_path, option):
+        obj = data_to_dict(HiggsData(1, 0, (), (InfinityGroup(1.0, (WeightedEigen(0.5, 0.3),)),)))
+        assert obj["log_points"] == []
+        path = tmp_path / "no_log_points.json"
+        path.write_text(json.dumps(obj))
+        result = runner.invoke(main, ["spectral-scan", str(path)] + option)
+        assert result.exit_code == 0, result.output
+        assert result.output == "xi_re,xi_im,branch,q_re,q_im,coker_dim\n"
 
     def test_bad_path_syntax(self, runner, t1_spec):
         result = runner.invoke(main, ["spectral-scan", t1_spec, "--xi-path", "3;x,y"])

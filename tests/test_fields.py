@@ -121,6 +121,16 @@ class TestResidueFactors:
         for arr in f.residue_factors:
             assert not arr.flags.writeable
 
+    def test_factor_columns_are_numerical_ranks(self, rng):
+        # one rank rule: the columns kept per puncture are numerical_rank of its residue,
+        # including a residue whose second singular value sits right at the threshold
+        c = np.diag([1.0, 1e-8 * (1 + 1e-12), 1e-8 * (1 - 1e-12)]).astype(complex)
+        f = random_field(3, [0.0, 1.0, 2.0], [1, 0, 2], seed=int(rng.integers(0, 2**32)))
+        f = ExplicitHiggsField(f.a_diag, np.append(f.punctures, 3.0), np.concatenate([f.residues, c[None]]))
+        _, _, p_all = f.residue_factors
+        assert [int(np.sum(p_all == p)) for p in f.punctures] == [numerical_rank(c) for c in f.residues]
+        assert numerical_rank(c) == 2
+
     def test_zero_residue_has_no_factor(self):
         f = ExplicitHiggsField(np.array([0.5]), np.array([0.0]), np.zeros((1, 1, 1)))
         u, vh, p_all = f.residue_factors

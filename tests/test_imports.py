@@ -1,4 +1,5 @@
-"""Every import in the package modules and the tests is used."""
+"""Every import in the package modules and the tests is used, and every
+private top-level name of the package is referenced in it."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,43 @@ def test_no_unused_imports(path):
 
 def test_detects_an_unused_import():
     assert _unused_imports("import cmath\nfrom x import a, b\nprint(a)\n") == ["b (line 2)", "cmath (line 1)"]
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _references(trees) -> set[str]:
+    refs = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+    return refs
+
+
+def _dead_private_names(source: str, package_sources) -> list[str]:
+    refs = _references(ast.parse(s) for s in package_sources)
+    return [n for n in _private_definitions(ast.parse(source)) if n not in refs]
+
+
+PACKAGE = sorted(Path(nahmkit.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_dead_private_names(path):
+    assert _dead_private_names(path.read_text(), [p.read_text() for p in PACKAGE]) == []
+
+
+def test_detects_a_dead_private_name():
+    source = "_A = 1\n_B = 2\ndef _f():\n    return _A\nclass _C:\n    pass\n"
+    assert _dead_private_names(source, [source, "import m\nm._C()\n"]) == ["_B", "_f"]

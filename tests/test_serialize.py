@@ -80,6 +80,21 @@ class TestParseErrors:
         with pytest.raises(SpecError, match=r"\$:"):
             data_from_dict(obj)
 
+    @pytest.mark.parametrize(
+        "where, bad, message",
+        [
+            ("log_points", {"entries": []}, r"\$\.log_points\[1\]: log point needs at least one entry"),
+            ("inf_groups", {"entries": []}, r"\$\.inf_groups\[0\]: infinity group needs at least one entry"),
+            ("log_points", {"position": [1e999, 0.0]}, r"\$\.log_points\[1\]: non-finite puncture position"),
+            ("inf_groups", {"xi": [0.0, -1e999]}, r"\$\.inf_groups\[0\]: non-finite leading eigenvalue"),
+        ],
+    )
+    def test_invalid_component_is_a_path_qualified_spec_error(self, where, bad, message):
+        obj = _t1_dict()
+        obj[where][1 if where == "log_points" else 0].update(bad)
+        with pytest.raises(SpecError, match=message):
+            data_from_dict(obj)
+
 
 class TestRealization:
     def test_default(self):

@@ -275,10 +275,14 @@ class TestTracking:
         assert len(calls) <= 26
 
     def test_no_spectral_points_gives_no_branches(self):
-        # all residues zero: r_hat = 0 and every sample is empty
-        f = ExplicitHiggsField([0.5], [0], np.zeros((1, 1, 1)))
-        assert spectral_points(f, 1 + 1j).points == ()
-        assert track_branches(f, [1 + 1j, 2 + 1j]) == []
+        # all residues zero, or no puncture at all: r_hat = 0, every sample is empty, nothing to fit
+        for f in (
+            ExplicitHiggsField([0.5], [0], np.zeros((1, 1, 1))),
+            ExplicitHiggsField([0.5], [], np.zeros((0, 1, 1))),
+        ):
+            assert spectral_points(f, 1 + 1j).points == ()
+            assert track_branches(f, [1 + 1j, 2 + 1j]) == []
+            assert fit_infinity_asymptotics(f) == [] and fit_puncture_asymptotics(f, 0.5) == []
 
 
 class TestApproachPath:
@@ -333,16 +337,40 @@ class TestPunctureAsymptotics:
             res = multiset_match(got, want, 1e-3)
             assert res.ok, res.max_distance
 
-    def test_estimates_improve_inward(self):
+    def test_zero_residue_is_not_a_branch(self):
+        # the second coordinate of the xi=1 group has lambda^inf = 0: no point escapes there
+        f = _diag_field([1.0, 1.0], [[0.3, 0.0]], [0.0])
+        (fit,) = fit_puncture_asymptotics(f, 1.0)
+        assert abs(fit.residue - 0.6) <= 1e-12
+
+    def test_repeated_residue_is_an_error(self):
+        # power sums of (0.8, 0.8) have Hankel rank 1, not 2: refuse rather than merge
+        f = _diag_field([1.0, 1.0], [[0.4, 0.4]], [0.0])
+        with pytest.raises(SpectralError, match=r"rho=0\.0001: the residues at xi=1\.0 are not distinct"):
+            fit_puncture_asymptotics(f, 1.0)
+
+    def test_point_on_a_puncture_names_the_radius(self):
+        # lam = 1 at xi_l = 0 puts the point 2/xi of the first node at 1e-3 * DIRECTION
+        # on a zero-residue puncture
+        rho = 1e-3
+        f = ExplicitHiggsField([0], [0, 2 / (rho * DIRECTION)], np.array([[[1.0]], [[0.0]]]))
+        with pytest.raises(SpectralError, match=r"rho=0\.001: spectral point .* lies on the puncture"):
+            fit_puncture_asymptotics(f, 0.0)
+
+    def test_radius_reaching_the_next_leading_eigenvalue_is_an_error(self):
+        f = _diag_field([1.0, -1.0], [[0.3, 0.2]], [0.0])
+        with pytest.raises(SpectralError, match=r"rho=1\.2 is not below half the distance 2\.0"):
+            fit_puncture_asymptotics(f, 1.0, radii=(1.2, 1e-2))
+
+    def test_estimate_at_every_radius_within_1e_8(self):
         f = random_field(2, [0.3], [0], seed=4)
         hd = extract_data(f)
         g = hd.inf_groups[0]
         fits = fit_puncture_asymptotics(f, g.xi)
-        for fit in fits:
-            errs = [
-                min(abs(est - 2 * e.value) for e in g.entries) for est in fit.estimates
-            ]
-            assert errs[0] >= errs[1] >= errs[2]
+        assert len(fits) == g.multiplicity
+        for i in range(3):
+            res = multiset_match([fit.estimates[i] for fit in fits], [2 * e.value for e in g.entries], 1e-8)
+            assert res.ok, res.max_distance
 
 
 class TestInfinityAsymptotics:
@@ -367,6 +395,16 @@ class TestInfinityAsymptotics:
             counts[fit.puncture_index] = counts.get(fit.puncture_index, 0) + 1
         assert counts == {0: 2, 1: 1}
 
+    def test_unseparated_groups_name_the_radius(self):
+        # at |xi| = 10 the points 2/xi are far from telling punctures 1e-3 apart
+        f = _diag_field([0.0], [[1.0], [1.0]], [0.0, 1e-3])
+        with pytest.raises(SpectralError, match=r"R=10\.0: the spectral points are not cleanly separated"):
+            fit_infinity_asymptotics(f, radii=(10.0,))
+
+    def test_residual_is_an_aliasing_estimate(self):
+        f = random_field(3, [0.0, 1.0 + 0.5j], [1, 2], seed=11)
+        assert all(fit.residual <= 1e-10 for fit in fit_infinity_asymptotics(f))
+
     def test_conjugated_matches_extraction(self):
         f = random_field(3, [0.0, 1.0 + 0.5j], [1, 2], seed=11)
         hd = extract_data(f)
@@ -376,6 +414,18 @@ class TestInfinityAsymptotics:
             want = [e.value for e in lp.singular_entries]
             res = multiset_match(got, want, 1e-3)
             assert res.ok, res.max_distance
+
+
+def test_fits_do_not_track(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the asymptotic fits must not track branches")
+
+    monkeypatch.setattr(spectral, "track_branches", forbidden)
+    monkeypatch.setattr(spectral, "approach_path", forbidden)
+    f = random_field(3, [0.0, 1.0 + 0.5j], [1, 2], seed=11)
+    assert len(fit_infinity_asymptotics(f)) == 3
+    for xi, _ in f.group_slices():
+        assert len(fit_puncture_asymptotics(f, xi)) == 1
 
 
 class TestTransformedSamples:
