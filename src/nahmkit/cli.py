@@ -129,7 +129,7 @@ def involution(spec):
 @main.command()
 @click.argument("spec", type=click.Path(), required=False)
 @click.option("--count", type=click.IntRange(min=1), default=200, show_default=True, help="Random instances per suite.")
-@click.option("--seed", type=int, default=0, envvar="NAHMKIT_SEED", show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, envvar="NAHMKIT_SEED", show_default=True)
 def verify(spec, count, seed):
     """Run the invariant suites on SPEC, or on a random corpus without it."""
     if spec is not None:
@@ -190,7 +190,7 @@ def spectral_scan(spec, xi_path, around, radii, out):
 @main.command(name="local-check")
 @click.argument("spec", type=click.Path())
 @click.option("--count", type=click.IntRange(min=1), default=1000, show_default=True, help="Random gauge-identity samples.")
-@click.option("--seed", type=int, default=0, envvar="NAHMKIT_SEED", show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, envvar="NAHMKIT_SEED", show_default=True)
 def local_check(spec, count, seed):
     """Polar-model decomposition and gauge identity for the datum in SPEC."""
     data, _ = _load_data(spec)

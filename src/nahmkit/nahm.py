@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .moduli import (
     ConnectionData,
     HiggsData,
@@ -20,7 +22,7 @@ from .moduli import (
     hypothesis_report,
     transformability_check,
 )
-from .numkernel import multiset_match
+from .numkernel import bottleneck_match, multiset_match
 
 
 class TransformError(ValueError):
@@ -110,9 +112,11 @@ def data_match(a: SingularityData, b: SingularityData, tol: float = 1e-12):
     """Multiset comparison of two data of the same kind.
 
     Returns (ok, residual): log points are matched by position, infinity
-    groups by leading eigenvalue, entries within by value; the residual is
-    the worst matched distance over all components (inf on failure of
-    counts or weights).
+    groups by leading eigenvalue, entries within by value and weight
+    together, each a bottleneck matching within tol.  On success the
+    residual is the worst matched distance over all components; on failure
+    it is the minimal worst distance of the first component that fails, or
+    inf when the kinds, ranks, degrees or counts differ.
     """
     if type(a) is not type(b) or a.rank != b.rank or a.degree != b.degree:
         return False, float("inf")
@@ -130,18 +134,12 @@ def data_match(a: SingularityData, b: SingularityData, tol: float = 1e-12):
 
 
 def _entries_match(ea, eb, tol):
+    """Bottleneck match of entries on the cost max(|value delta|, |weight delta|)."""
     if len(ea) != len(eb):
         return False, float("inf")
-    m = multiset_match([complex(e.value) for e in ea], [complex(e.value) for e in eb], tol)
-    if not m.ok:
-        return False, m.max_distance
-    worst = m.max_distance
-    for i, j in m.pairs:
-        dw = abs(ea[i].weight - eb[j].weight)
-        if dw > tol:
-            return False, dw
-        worst = max(worst, dw)
-    return True, worst
+    a, b = (np.array([[e.value, e.weight] for e in es]) for es in (ea, eb))
+    m = bottleneck_match(np.abs(a[:, None, :] - b[None, :, :]).max(axis=-1), tol)
+    return m.ok, m.max_distance
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ def numerical_rank(m, tol: float = 1e-8) -> int:
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Outcome of a minimal-cost assignment between two complex multisets."""
+    """Outcome of a bottleneck assignment: a bijection minimising the worst cost."""
 
     ok: bool
     pairs: tuple[tuple[int, int], ...]
@@ -70,23 +70,80 @@ class MatchResult:
         return self.ok
 
 
-def multiset_match(s, t, tol: float) -> MatchResult:
-    """Minimal-cost bijection between equal-size multisets of complex numbers.
+def _perfect_matching(adj: np.ndarray) -> list[int] | None:
+    """Column of each row in a perfect matching of a square boolean biadjacency, or None.
 
-    Succeeds iff the worst matched pairwise distance is <= tol; on failure
-    the best achieved bound is reported in max_distance.
+    Kuhn's augmenting paths, each found by a breadth-first search so that
+    no recursion limit applies.
+    """
+    n = adj.shape[0]
+    neighbours = [np.flatnonzero(row).tolist() for row in adj]
+    col_of_row, row_of_col = [-1] * n, [-1] * n
+    for root in range(n):
+        came_from = [-1] * n  # row that reached each visited column
+        queue, free_col = [root], -1
+        for u in queue:
+            for v in neighbours[u]:
+                if came_from[v] < 0:
+                    came_from[v] = u
+                    if row_of_col[v] < 0:
+                        free_col = v
+                        break
+                    queue.append(row_of_col[v])
+            if free_col >= 0:
+                break
+        if free_col < 0:
+            return None
+        v = free_col
+        while v >= 0:  # flip the path: each row on it takes the column that reached it
+            u = came_from[v]
+            next_v = col_of_row[u]
+            col_of_row[u], row_of_col[v] = v, u
+            v = next_v
+    return col_of_row
+
+
+def bottleneck_match(cost, tol: float) -> MatchResult:
+    """Bijection of rows to columns of a square cost matrix minimising the worst cost.
+
+    Succeeds iff that minimal worst cost, reported in max_distance, is
+    <= tol.  When the row-wise nearest columns are distinct they are the
+    answer, since the largest row minimum bounds every bijection from
+    below; otherwise the distinct costs above that bound are bisected with
+    a perfect-matching test on each threshold graph.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ValueError(f"cost must be square, got shape {cost.shape}")
+    n = cost.shape[0]
+    if n == 0:
+        return MatchResult(True, (), 0.0)
+    cols = cost.argmin(axis=1).tolist()
+    if len(set(cols)) < n:
+        floor = max(cost.min(axis=1).max(), cost.min(axis=0).max())
+        levels = np.unique(cost[cost >= floor])
+        lo, hi = 0, len(levels) - 1
+        cols = _perfect_matching(cost <= levels[hi])
+        while lo < hi:
+            mid = (lo + hi) // 2
+            found = _perfect_matching(cost <= levels[mid])
+            if found is None:
+                lo = mid + 1
+            else:
+                hi, cols = mid, found
+    worst = float(cost[np.arange(n), cols].max())
+    return MatchResult(worst <= tol, tuple(enumerate(cols)), worst)
+
+
+def multiset_match(s, t, tol: float) -> MatchResult:
+    """Bottleneck bijection between equal-size multisets of complex numbers.
+
+    Decides whether a bijection moves no point by more than tol;
+    max_distance is the minimal worst pairwise distance over all
+    bijections.
     """
     s = _as_finite_array(s, "S").ravel()
     t = _as_finite_array(t, "T").ravel()
     if s.size != t.size:
         raise ValueError(f"multiset sizes differ: {s.size} vs {t.size}")
-    if s.size == 0:
-        return MatchResult(True, (), 0.0)
-    # imported here: scipy.optimize dominates the package's import time
-    from scipy.optimize import linear_sum_assignment
-
-    cost = np.abs(s[:, None] - t[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    worst = float(np.max(cost[rows, cols]))
-    pairs = tuple(zip(rows.tolist(), cols.tolist()))
-    return MatchResult(worst <= tol, pairs, worst)
+    return bottleneck_match(np.abs(s[:, None] - t[None, :]), tol)

@@ -96,7 +96,7 @@ def data_to_dict(data: SingularityData) -> dict:
 
 
 def realization_from_dict(obj: Any, path: str = "$.realization") -> dict:
-    """Validated field-realization block: {'mode': 'diagonal'|'random', 'seed': int}."""
+    """Validated field-realization block: {'mode': 'diagonal'|'random', 'seed': int >= 0}."""
     if obj is None:
         return {"mode": "diagonal", "seed": 0}
     if not isinstance(obj, dict):
@@ -105,6 +105,6 @@ def realization_from_dict(obj: Any, path: str = "$.realization") -> dict:
     if mode not in ("diagonal", "random"):
         raise SpecError(f"{path}.mode: expected 'diagonal' or 'random', got {mode!r}")
     seed = obj.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise SpecError(f"{path}.seed: expected an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise SpecError(f"{path}.seed: expected a non-negative integer")
     return {"mode": mode, "seed": seed}

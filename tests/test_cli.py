@@ -136,6 +136,12 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--count", count, "--seed", "1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("option, env", [(["--seed", "-1"], {}), ([], {"NAHMKIT_SEED": "-1"})])
+    def test_negative_seed_is_a_parse_error(self, runner, option, env):
+        result = runner.invoke(main, ["verify", "--count", "1"] + option, env=env)
+        assert result.exit_code == 2
+        assert "checks passed" not in result.output
+
 
 class TestSpectralScan:
     def test_explicit_path_csv(self, runner, t1_spec):
@@ -241,6 +247,15 @@ class TestSpectralScan:
         # 2 path nodes x r_hat = 17 branches
         assert len(result.output.strip().splitlines()) == 1 + 34
 
+    def test_negative_realization_seed_is_a_parse_error(self, runner, tmp_path, t1):
+        obj = data_to_dict(t1)
+        obj["realization"] = {"mode": "random", "seed": -1}
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps(obj))
+        result = runner.invoke(main, ["spectral-scan", str(path), "--xi-path", "3,0;3,0.5"])
+        assert result.exit_code == 2
+        assert "$.realization.seed: expected a non-negative integer" in result.output
+
 
 class TestLocalCheck:
     def test_pass(self, runner, t1_spec):
@@ -254,10 +269,22 @@ class TestLocalCheck:
         assert result.exit_code == 2
         assert "[PASS]" not in result.output
 
+    def test_negative_seed_is_a_parse_error(self, runner, t1_spec):
+        result = runner.invoke(main, ["local-check", t1_spec, "--seed", "-2"])
+        assert result.exit_code == 2
+        assert "[PASS]" not in result.output
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize dominates the cold start; only multiset_match needs it
+
+def test_verify_loads_no_scipy_module():
+    # the package depends on numpy and click only; a verify run must not pull scipy in
     env = dict(os.environ, PYTHONPATH=str(Path(nahmkit.__file__).parents[1]))
-    code = "import sys, nahmkit.cli; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, nahmkit.cli\n"
+        "try:\n"
+        "    nahmkit.cli.main(['verify', '--count', '5'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.splitlines()[-1] == "[]"

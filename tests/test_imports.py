@@ -1,7 +1,10 @@
-"""Every import in the package modules and the tests is used, and every
-private top-level name of the package is referenced in it."""
+"""Every import in the package modules and the tests is used, every private
+top-level name of the package is referenced in it, and the package imports
+exactly the third-party distributions that pyproject.toml declares."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +76,31 @@ def test_no_dead_private_names(path):
 def test_detects_a_dead_private_name():
     source = "_A = 1\n_B = 2\ndef _f():\n    return _A\nclass _C:\n    pass\n"
     assert _dead_private_names(source, [source, "import m\nm._C()\n"]) == ["_B", "_f"]
+
+
+def _third_party_imports(sources) -> set[str]:
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return {n for n in names if n not in sys.stdlib_module_names and n != "nahmkit"}
+
+
+def _declared_dependencies(pyproject: str) -> set[str]:
+    tomllib = pytest.importorskip("tomllib")
+    specs = tomllib.loads(pyproject)["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_") for spec in specs}
+
+
+def test_imports_are_the_declared_dependencies():
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert _third_party_imports(p.read_text() for p in PACKAGE) == _declared_dependencies(pyproject)
+
+
+def test_dependency_check_sees_function_level_imports():
+    source = "import os\nimport numpy.linalg\nfrom . import x\ndef f():\n    from scipy.optimize import y\n"
+    assert _third_party_imports([source]) == {"numpy", "scipy"}
+    assert _declared_dependencies('[project]\ndependencies = ["numpy>=1.24", "Sci-Py"]\n') == {"numpy", "sci_py"}

@@ -153,6 +153,16 @@ class TestInvolution:
         ok, res = data_match(inverse_transform(transform(t1)), t1)
         assert ok and res == 0.0
 
+    def test_equal_values_match_on_weight(self):
+        # not generic, but data_match is public and does not check the hypothesis
+        def datum(*weights):
+            entries = tuple(WeightedEigen(0.3, w) for w in weights)
+            return HiggsData(2, 0, (LogPoint(0.0, entries),), (InfinityGroup(1.0, entries),))
+
+        assert data_match(datum(0.2, 0.7), datum(0.7, 0.2)) == (True, 0.0)
+        ok, res = data_match(datum(0.2, 0.7), datum(0.7, 0.3))
+        assert not ok and res == pytest.approx(0.1)
+
     def test_precondition_failure_reported(self):
         hd = HiggsData(
             1,

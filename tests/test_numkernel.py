@@ -1,15 +1,25 @@
 """Substrate tests: eigenvalues, null spaces, matching."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nahmkit.numkernel import (
+    bottleneck_match,
     cokernel_basis,
     cokernel_dims,
     eigenvalues,
     multiset_match,
     numerical_rank,
 )
+
+
+def _grid_points(n):
+    # integer coordinates make tied distances common
+    return st.lists(st.builds(complex, st.integers(-2, 2), st.integers(-2, 2)), min_size=n, max_size=n)
 
 
 def _sorted(zs):
@@ -103,3 +113,35 @@ class TestMultisetMatch:
             t = rng.permutation(s)
             res = multiset_match(s, t, 1e-12)
             assert res.ok and res.max_distance == 0.0
+
+    def test_bottleneck_not_min_sum(self):
+        # the min-sum assignment of these points has worst distance 3.42
+        s = [-2.3 - 0.7j, -0.2 - 0.5j, -1.2 - 0.3j]
+        t = [0.4 + 1.4j, 1 - 0.7j, -0.1 + 0.4j]
+        res = multiset_match(s, t, 2.4597)
+        assert res.ok
+        assert res.max_distance == pytest.approx(2.45967, abs=1e-5)
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(_grid_points(n), _grid_points(n))))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force_with_ties(self, points):
+        s, t = map(np.array, points)
+        cost = np.abs(s[:, None] - t[None, :])
+        best = min(max(cost[i, j] for i, j in enumerate(perm)) for perm in itertools.permutations(range(len(s))))
+        res = multiset_match(s, t, 0.0)
+        assert res.max_distance == best
+        assert sorted(i for i, _ in res.pairs) == sorted(j for _, j in res.pairs) == list(range(len(s)))
+        assert max(cost[i, j] for i, j in res.pairs) == res.max_distance
+
+    def test_long_augmenting_path(self):
+        # each point ties between two nearest targets and 0 is matched last,
+        # so its augmenting path runs through all 64 rows
+        s = np.arange(64.0)[::-1]
+        t = np.arange(64.0) + 0.5
+        res = multiset_match(s, t, 0.5)
+        assert res.ok and res.max_distance == 0.5
+        assert all(t[j] == s[i] + 0.5 for i, j in res.pairs)
+
+    def test_cost_must_be_square(self):
+        with pytest.raises(ValueError, match="square"):
+            bottleneck_match(np.zeros((2, 3)), 1.0)

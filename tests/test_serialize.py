@@ -113,3 +113,7 @@ class TestRealization:
     def test_bad_seed(self):
         with pytest.raises(SpecError, match="seed"):
             realization_from_dict({"seed": "abc"})
+
+    def test_negative_seed(self):
+        with pytest.raises(SpecError, match=r"^\$\.realization\.seed: expected a non-negative integer$"):
+            realization_from_dict({"mode": "random", "seed": -1})
