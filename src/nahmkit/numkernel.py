@@ -45,11 +45,15 @@ def cokernel_basis(m, tol: float = 1e-8, scale: float = 0.0) -> np.ndarray:
     return u[:, int(np.sum(rank_mask(s, tol, scale))) :]
 
 
-def cokernel_dims(ms, tol: float = 1e-8, scale: float = 0.0) -> np.ndarray:
-    """dim ker(M^H) of each matrix in a (k, r, r) stack, by the rule of cokernel_basis."""
+def cokernel_dims(ms, tol: float = 1e-8, scale: float | np.ndarray = 0.0) -> np.ndarray:
+    """dim ker(M^H) of each matrix in a (k, r, r) stack, by the rule of cokernel_basis.
+
+    scale is one floor for the whole stack or a (k,) array, one per matrix.
+    """
     ms = _as_finite_array(ms, "matrices")
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
         raise ValueError(f"matrices must be a stack of square matrices, got shape {ms.shape}")
+    scale = np.asarray(scale, dtype=float)[..., None]
     return np.sum(~rank_mask(np.linalg.svd(ms, compute_uv=False), tol, scale), axis=-1)
 
 

@@ -69,22 +69,33 @@ def _schur_roots(field: ExplicitHiggsField, xi: complex) -> np.ndarray:
     of K: the forced roots at the punctures never appear.  A 1-D array of k
     values of xi gives the (k, r_hat) stack of points.
 
-    Raises SpectralError when xi hits a leading eigenvalue (a puncture of
-    the transform) and NonGenericError when a point lands on a puncture,
-    where theta_xi is undefined.
+    Raises SpectralError, naming the first such node, when xi hits a leading
+    eigenvalue (a puncture of the transform).  A point landing on a puncture
+    is not checked here: see _punctured and _generic.
     """
-    scale = field.scale()
     xi = np.asarray(xi, dtype=complex)
-    if np.any(np.abs(xi[..., None] - field.a_diag) <= 1e-12 * scale):
-        raise SpectralError(f"xi={xi} is a puncture of the transform")
+    hit = np.any(np.abs(xi[..., None] - field.a_diag) <= 1e-12 * field.scale(), axis=-1)
+    if hit.any():
+        raise SpectralError(f"xi={xi[hit][0]} is a puncture of the transform")
     u, vh, p_all = field.residue_factors
     d = (field.a_diag - xi[..., None]) / 2
-    roots = np.linalg.eigvals(np.diag(p_all) - vh @ (u / d[..., :, None]))
-    gap = np.abs(roots[..., None] - field.punctures)
-    if gap.size and gap.min() <= 1e-12 * scale:
-        *node, i, j = np.unravel_index(gap.argmin(), gap.shape)
+    return np.linalg.eigvals(np.diag(p_all) - vh @ (u / d[..., :, None]))
+
+
+def _punctured(field: ExplicitHiggsField, roots: np.ndarray) -> np.ndarray:
+    """Whether some point of roots lies on a puncture, where theta_xi is undefined, per node (leading axes)."""
+    return np.any(np.abs(roots[..., None] - field.punctures) <= 1e-12 * field.scale(), axis=(-2, -1))
+
+
+def _generic(field: ExplicitHiggsField, xi: complex, roots: np.ndarray) -> np.ndarray:
+    """roots, solved at xi; NonGenericError at the first node with a point on a puncture."""
+    hit = _punctured(field, roots)
+    if hit.any():
+        q = roots[hit][0]
+        gap = np.abs(q[:, None] - field.punctures)
+        i, j = np.unravel_index(gap.argmin(), gap.shape)
         raise NonGenericError(
-            f"spectral point {roots[(*node, i)]} at xi={xi[tuple(node)]} lies on the puncture {field.punctures[j]}"
+            f"spectral point {q[i]} at xi={np.asarray(xi, dtype=complex)[hit][0]} lies on the puncture {field.punctures[j]}"
         )
     return roots
 
@@ -97,13 +108,19 @@ def char_poly_at(field: ExplicitHiggsField, xi: complex) -> np.ndarray:
     Raises SpectralError at a puncture of the transform.
     """
     leading = complex(np.prod((field.a_diag - xi) / 2))
-    return leading * np.polynomial.polynomial.polyfromroots(_schur_roots(field, xi))
+    return leading * np.polynomial.polynomial.polyfromroots(_generic(field, xi, _schur_roots(field, xi)))
 
 
-def _coker_dims(field: ExplicitHiggsField, xi: complex, roots: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Cokernel dimension of theta_xi at each root, from one stacked SVD."""
-    ms = field.matrix_at(roots) - (xi / 2) * np.eye(field.rank)
-    return cokernel_dims(ms, tol, scale=max(field.scale(), abs(xi) / 2))
+def _coker_dims(field: ExplicitHiggsField, xi, roots: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Cokernel dimension of theta_xi at each root, from one stacked SVD.
+
+    roots is (r_hat,) at one xi or (k, r_hat) over k values of xi; each
+    node's rank floor is max(scale, |xi|/2).
+    """
+    xi = np.asarray(xi, dtype=complex)[..., None]
+    ms = field.matrix_at(roots) - (xi / 2)[..., None, None] * np.eye(field.rank)
+    floor = np.broadcast_to(np.maximum(field.scale(), np.abs(xi) / 2), roots.shape)
+    return cokernel_dims(ms.reshape(-1, field.rank, field.rank), tol, scale=floor.ravel()).reshape(roots.shape)
 
 
 def spectral_points(
@@ -112,7 +129,7 @@ def spectral_points(
     tol: float = 1e-8,
 ) -> SpectralSample:
     """Spectral points, sorted, with the cokernel dimension of theta_xi at each."""
-    roots = _schur_roots(field, xi)
+    roots = _generic(field, xi, _schur_roots(field, xi))
     dims = _coker_dims(field, xi, roots, tol)
     order = np.lexsort((roots.imag, roots.real))
     return SpectralSample(complex(xi), tuple(roots[order].tolist()), tuple(dims[order].tolist()))
@@ -134,74 +151,94 @@ class _StepRejected(Exception):
 def _unambiguous_match(cost: np.ndarray) -> np.ndarray:
     """Column of the nearest new point for each old point (row) of cost.
 
-    The matching is accepted only when it is a bijection and unambiguous:
-    every matched distance must be smaller than half the distance to any
-    competing point (in either multiset), which also makes it the unique
-    minimal-cost assignment.  Raises _StepRejected otherwise.
+    cost is one (n, n) matrix or a (..., n, n) stack of them.  A matching is
+    accepted only when it is a bijection and unambiguous: every matched
+    distance must be smaller than half the distance to any competing point
+    (in either multiset), which also makes it the unique minimal-cost
+    assignment.  A rejected matrix raises _StepRejected; in a stack, its
+    columns are all -1 instead.
     """
-    if not cost.size:  # r_hat = 0: nothing to match
-        return np.zeros(0, dtype=int)
-    cols = cost.argmin(axis=1)
-    if np.unique(cols).size != cols.size:
-        raise _StepRejected
-    rows = np.arange(cols.size)
-    # cols is a bijection, so masking the matched entries leaves exactly the
-    # rivals of each pair in its row and in its column
+    if not cost.shape[-1]:  # r_hat = 0: nothing to match
+        return np.zeros(cost.shape[:-1], dtype=int)
+    cols = cost.argmin(axis=-1)
+    bijective = np.all(np.sort(cols, axis=-1) == np.arange(cols.shape[-1]), axis=-1)
+    # on a bijection, masking the matched entries leaves exactly the rivals
+    # of each pair in its row and in its column
     masked = cost.copy()
-    masked[rows, cols] = np.inf
-    rivals = np.minimum(masked.min(axis=1), masked.min(axis=0)[cols])
-    if np.any(cost[rows, cols] > 0.5 * rivals):
+    np.put_along_axis(masked, cols[..., None], np.inf, axis=-1)
+    rivals = np.minimum(masked.min(axis=-1), np.take_along_axis(masked.min(axis=-2), cols, axis=-1))
+    matched = np.take_along_axis(cost, cols[..., None], axis=-1)[..., 0]
+    accepted = bijective & ~np.any(matched > 0.5 * rivals, axis=-1)
+    if cost.ndim == 2 and not accepted:
         raise _StepRejected
-    return cols
+    return np.where(accepted[..., None], cols, -1)
 
 
-def _advance_segment(field, a, b, pts):
-    """Continue pts from xi=a to xi=b, halving only a rejected step.
+def _advance_segment(field, a, b, pts, end):
+    """Labels continuing pts from xi=a to end, the points solved at xi=b.
 
-    The segment is walked in the fraction t of the way from a to b, the last
-    step solving at exactly b.  An ambiguous match, or a point on a
+    Only a segment whose whole-step match was rejected, or whose end is on a
+    puncture, comes here, so the first step is half the segment.  The
+    segment is walked in the fraction t of the way from a to b, the last step
+    matching against end itself.  An ambiguous match, or a point on a
     puncture, halves the step and keeps the points already accepted; the
-    step never grows again, and below MIN_STEP the segment fails.
+    step never grows again, and below MIN_STEP the segment fails.  Returns
+    the index of each continued point in end.
     """
-    t, h = 0.0, 1.0
+    t, h = 0.0, 0.5
     while t < 1.0:
         # t and h are dyadic, so t + h never overshoots 1
-        end = t + h
+        stop = t + h
+        new = end if stop == 1.0 else _schur_roots(field, a + (b - a) * stop)
         try:
-            new = _schur_roots(field, b if end == 1.0 else a + (b - a) * end)
-            pts = new[_unambiguous_match(np.abs(pts[:, None] - new[None, :]))]
-        except (_StepRejected, NonGenericError):
+            if _punctured(field, new):
+                raise _StepRejected
+            cols = _unambiguous_match(np.abs(pts[:, None] - new[None, :]))
+        except _StepRejected:
             h /= 2
             if h < MIN_STEP:
                 raise SpectralError(
                     f"unresolved branch collision between xi={a} and xi={b}"
                 ) from None
         else:
-            t = end
-    return pts
+            t, pts = stop, new[cols]
+    return cols
 
 
 def track_branches(field: ExplicitHiggsField, path) -> list[BranchPath]:
     """Continue the spectral points along a xi-path.
 
-    Each segment is walked by _advance_segment.  Samples and cokernel
-    dimensions are recorded at the requested path nodes only.
+    One batched solve gives the points at every node and one batched match
+    pairs consecutive nodes; labels carry through by composing the matches,
+    starting from the sorted order of spectral_points at the first node.
+    Only a rejected segment, or one ending on a puncture, is walked by
+    _advance_segment.  The cokernel dimensions of all nodes come from one
+    stacked SVD.
     """
     path = [complex(x) for x in path]
     if len(path) < 1:
         raise ValueError("empty path")
-    first = spectral_points(field, path[0])
-    nodes = [np.array(first.points, dtype=complex)]
-    for a, b in zip(path[:-1], path[1:]):
-        nodes.append(_advance_segment(field, a, b, nodes[-1]))
-    dims = [first.coker_dims] + [_coker_dims(field, xi, pts) for xi, pts in zip(path[1:], nodes[1:])]
+    xs = np.array(path)
+    roots = _schur_roots(field, xs)
+    _generic(field, xs[0], roots[0])
+    steps = _unambiguous_match(np.abs(roots[:-1, :, None] - roots[1:, None, :]))
+    rejected = _punctured(field, roots[1:]) | np.any(steps < 0, axis=-1)
+    labels = np.empty(roots.shape, dtype=int)
+    labels[0] = np.lexsort((roots[0].imag, roots[0].real))
+    for i, step in enumerate(steps):
+        if rejected[i]:
+            labels[i + 1] = _advance_segment(field, path[i], path[i + 1], roots[i, labels[i]], roots[i + 1])
+        else:
+            labels[i + 1] = step[labels[i]]
+    points = np.take_along_axis(roots, labels, axis=1)
+    dims = np.take_along_axis(_coker_dims(field, xs, roots), labels, axis=1)
     return [
         BranchPath(
             ("branch", i),
-            tuple((xi, complex(pts[i])) for xi, pts in zip(path, nodes)),
-            tuple(int(d[i]) for d in dims),
+            tuple(zip(path, points[:, i].tolist())),
+            tuple(dims[:, i].tolist()),
         )
-        for i in range(nodes[0].size)
+        for i in range(roots.shape[1])
     ]
 
 
@@ -235,7 +272,7 @@ def _circle(field: ExplicitHiggsField, center: complex, radius: float, direction
     xi = center + radius * np.exp(1j * (np.angle(direction) + 2 * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES))
     try:
         # the offset of the rounded node, exact (Sterbenz) when radius << |center|
-        return xi - center, _schur_roots(field, xi)
+        return xi - center, _generic(field, xi, _schur_roots(field, xi))
     except NonGenericError as exc:
         raise SpectralError(f"{name}={radius}: {exc}") from None
 
@@ -345,7 +382,7 @@ def fit_infinity_asymptotics(
 
 def transformed_eigenvalue_samples(field: ExplicitHiggsField, xi: complex) -> np.ndarray:
     """Eigenvalue multiset of the transformed Higgs field at xi: -Sigma_xi / 2."""
-    return -_schur_roots(field, xi) / 2
+    return -_generic(field, xi, _schur_roots(field, xi)) / 2
 
 
 def reducedness_probe(
@@ -354,20 +391,18 @@ def reducedness_probe(
     seed: int | None = None,
     sep_tol: float = 1e-6,
 ) -> float:
-    """Fraction of sampled xi at which all spectral points are simple."""
+    """Fraction of sampled xi at which all spectral points are simple.
+
+    A sample within 0.1 * scale of a leading eigenvalue is redrawn; one
+    with a point on a puncture counts as not simple.
+    """
     rng = np.random.default_rng(seed)
     scale = field.scale()
-    good = 0
-    done = 0
-    while done < n_samples:
-        xi = complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) * scale
-        if any(abs(xi - a) < 0.1 * scale for a in field.a_diag):
-            continue
-        done += 1
-        try:
-            roots = _schur_roots(field, xi)
-        except NonGenericError:
-            continue
-        if points_simple(roots, sep_tol):
-            good += 1
-    return good / n_samples
+    xs = np.empty(0, dtype=complex)
+    while xs.size < n_samples:
+        re, im = (rng.uniform(-3, 3, size=(n_samples - xs.size, 2)) * scale).T
+        draw = re + 1j * im
+        xs = np.concatenate([xs, draw[np.all(np.abs(draw[:, None] - field.a_diag) >= 0.1 * scale, axis=1)]])
+    roots = _schur_roots(field, xs)
+    simple = [not hit and points_simple(q, sep_tol) for q, hit in zip(roots, _punctured(field, roots))]
+    return sum(simple) / n_samples

@@ -17,6 +17,10 @@ from nahmkit.nahm import data_match, higgs_transform
 from nahmkit.serialize import data_from_dict, data_to_dict
 
 
+DATA = Path(__file__).parent / "data"
+GOLDEN_PATH = "3,0;2.947,0.559;2.792,1.099;2.538,1.6;2.195,2.045;1.775,2.418;1.294,2.707;0.766,2.9;0.212,2.992"
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -203,6 +207,34 @@ class TestSpectralScan:
         result = runner.invoke(main, ["spectral-scan", str(path)] + option)
         assert result.exit_code == 0, result.output
         assert result.output == "xi_re,xi_im,branch,q_re,q_im,coker_dim\n"
+
+    def test_path_through_a_leading_eigenvalue_names_that_node(self, runner, t1_spec):
+        # t1 has the infinity group xi = 2: a puncture of the transform
+        result = runner.invoke(main, ["spectral-scan", t1_spec, "--xi-path", "3,0;2.5,0;2,0;1,0"])
+        assert result.exit_code == 1
+        assert result.stderr == "spectral scan failed: xi=(2+0j) is a puncture of the transform\n"
+
+    # the golden CSVs were written by the one-node-at-a-time tracker that the
+    # batched one replaced; the path has segments rejected by the whole-step match
+    @pytest.mark.parametrize(
+        "spec, option, golden",
+        [
+            ("scan-diagonal.json", ["--xi-path", GOLDEN_PATH], "scan-diagonal-path.csv"),
+            ("scan-random.json", ["--xi-path", GOLDEN_PATH], "scan-random-path.csv"),
+            ("scan-diagonal.json", ["--around", "0"], "scan-diagonal-around0.csv"),
+            ("scan-random.json", ["--around", "1"], "scan-random-around1.csv"),
+        ],
+    )
+    def test_csv_is_byte_identical_to_the_golden_file(self, runner, tmp_path, monkeypatch, spec, option, golden):
+        fallbacks = []
+        advance = nahmkit.spectral._advance_segment
+        monkeypatch.setattr(nahmkit.spectral, "_advance_segment", lambda *args: fallbacks.append(args) or advance(*args))
+        out = tmp_path / "scan.csv"
+        result = runner.invoke(main, ["spectral-scan", str(DATA / spec)] + option + ["--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == (DATA / golden).read_bytes()
+        if option[0] == "--xi-path":
+            assert fallbacks
 
     def test_bad_path_syntax(self, runner, t1_spec):
         result = runner.invoke(main, ["spectral-scan", t1_spec, "--xi-path", "3;x,y"])

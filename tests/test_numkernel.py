@@ -84,6 +84,14 @@ class TestCokernel:
         assert cokernel_dims(ms, scale=1.0).tolist() == [0, 2, 1, 2]
         assert cokernel_dims(np.zeros((0, 3, 3))).shape == (0,)
 
+    def test_scale_per_matrix_is_the_scalar_rule_per_slice(self, rng):
+        ms = np.array([np.eye(2), np.zeros((2, 2)), np.diag([1.0, 0.0]), 1e-15 * np.eye(2), 1e-9 * np.diag([1.0, 3.0])])
+        for _ in range(20):
+            scale = rng.choice([0.0, 1e-9, 1e-2, 1.0], size=len(ms))
+            got = cokernel_dims(ms, scale=scale)
+            assert got.tolist() == [cokernel_dims(m[None], scale=s)[0] for m, s in zip(ms, scale)]
+        assert cokernel_dims(ms, scale=np.array([0.0, 0.0, 0.0, 1.0, 0.0])).tolist() == [0, 2, 1, 2, 0]
+
     def test_stacked_dims_reject_bad_input(self):
         with pytest.raises(ValueError, match="non-finite"):
             cokernel_dims(np.full((1, 2, 2), np.nan))

@@ -15,12 +15,14 @@ from nahmkit.spectral import (
     DIRECTION,
     NonGenericError,
     SpectralError,
+    _schur_roots,
     _StepRejected,
     _unambiguous_match,
     approach_path,
     char_poly_at,
     fit_infinity_asymptotics,
     fit_puncture_asymptotics,
+    points_simple,
     reducedness_probe,
     spectral_points,
     track_branches,
@@ -41,6 +43,14 @@ def _diag_field(a_entries, residue_diags, punctures):
     return ExplicitHiggsField(
         np.asarray(a_entries, dtype=complex), np.asarray(punctures, dtype=complex), residues
     )
+
+
+def _default_rank_field(seed):
+    """random_field at the generator's default ranks: r <= 5, at most 4 punctures."""
+    rng = np.random.default_rng(seed)
+    r, n = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+    punctures = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    return random_field(r, punctures, rng.integers(0, r, n).tolist(), seed=seed)
 
 
 def _diagonal_roots(field, xi):
@@ -90,6 +100,11 @@ class TestCharPoly:
     def test_puncture_of_the_transform_rejected(self):
         with pytest.raises(SpectralError, match="puncture of the transform"):
             char_poly_at(_scalar_field(a=1.5), 1.5)
+
+    def test_batched_puncture_of_the_transform_names_the_node(self):
+        with pytest.raises(SpectralError) as exc:
+            _schur_roots(_scalar_field(a=0.5), np.array([1.0, 0.5, 2.5]))
+        assert str(exc.value) == "xi=(0.5+0j) is a puncture of the transform"
 
     def test_degree_is_r_hat(self, rng):
         for _ in range(10):
@@ -206,6 +221,31 @@ class TestUnambiguousMatch:
     def test_empty_cost_matches_nothing(self):
         assert _unambiguous_match(np.zeros((0, 0))).size == 0
 
+    @given(
+        st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
+            lambda kn: arrays(np.float64, (kn[0], kn[1], kn[1]), elements=st.integers(0, 6).map(float))
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_stack_is_the_rule_per_slice(self, costs):
+        got = _unambiguous_match(costs)
+        assert got.shape == costs.shape[:-1]
+        for cost, cols in zip(costs, got):
+            try:
+                want = _unambiguous_match(cost)
+            except _StepRejected:
+                want = np.full(cost.shape[0], -1)
+            assert np.array_equal(cols, want)
+
+    def test_stack_with_one_rejected_slice(self):
+        ok = np.array([[0.0, 5.0], [5.0, 1.0]])
+        tied = np.array([[1.0, 1.0], [5.0, 1.0]])  # row 0 has no unambiguous nearest column
+        got = _unambiguous_match(np.array([ok, tied, ok.T[::-1]]))
+        assert got.tolist() == [[0, 1], [-1, -1], [1, 0]]
+
+    def test_empty_stack_matches_nothing(self):
+        assert _unambiguous_match(np.zeros((3, 0, 0))).shape == (3, 0)
+
 
 class TestTracking:
     def test_scalar_branch_is_closed_form(self):
@@ -262,6 +302,30 @@ class TestTracking:
         f = random_field(3, [0.3, -0.5 + 0.2j], [1, 0], seed=seed)
         ends = [br.samples[-1][1] for br in track_branches(f, [a, b])]
         assert sorted(ends, key=lambda q: (q.real, q.imag)) == list(spectral_points(f, b).points)
+
+    def test_every_node_is_the_solve_at_it(self, monkeypatch):
+        fallbacks = []
+        advance = spectral._advance_segment
+        monkeypatch.setattr(spectral, "_advance_segment", lambda *args: fallbacks.append(args) or advance(*args))
+        for seed in range(10):
+            f = _default_rank_field(seed)
+            path = 2 * f.scale() * np.exp(1j * np.linspace(0, np.pi, 9))
+            branches = track_branches(f, path)
+            for j, xi in enumerate(path):
+                s = spectral_points(f, xi)
+                got = sorted(((br.samples[j][1], br.coker_dims[j]) for br in branches), key=lambda t: (t[0].real, t[0].imag))
+                assert got == list(zip(s.points, s.coker_dims))
+        assert fallbacks
+
+    def test_accepted_path_is_one_solve_and_one_svd(self, monkeypatch):
+        f = _default_rank_field(2)
+        path = 2 * f.scale() * np.exp(1j * np.linspace(0, np.pi, 9))
+        solves, svds = [], []
+        solve, dims = spectral._schur_roots, spectral.cokernel_dims
+        monkeypatch.setattr(spectral, "_schur_roots", lambda *args: solves.append(args) or solve(*args))
+        monkeypatch.setattr(spectral, "cokernel_dims", lambda *args, **kw: svds.append(args) or dims(*args, **kw))
+        assert len(track_branches(f, path)) == 3
+        assert len(solves) == len(svds) == 1
 
     def test_failure_is_bounded(self, monkeypatch):
         # lam/z plus a zero-residue puncture at 1.0, where the branch
@@ -444,7 +508,35 @@ class TestTransformedSamples:
         assert abs(big * (xi - xi_l) - (-0.3)) < 1e-4
 
 
+def _reducedness_reference(field, n_samples, seed, sep_tol=1e-6):
+    """reducedness_probe one sample at a time, from spectral_points."""
+    rng = np.random.default_rng(seed)
+    scale = field.scale()
+    good = done = 0
+    while done < n_samples:
+        xi = complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) * scale
+        if any(abs(xi - a) < 0.1 * scale for a in field.a_diag):
+            continue
+        done += 1
+        try:
+            good += points_simple(np.array(spectral_points(field, xi).points), sep_tol)
+        except NonGenericError:
+            pass
+    return good / n_samples
+
+
 class TestReducedness:
+    @pytest.mark.parametrize("sep_tol", [1e-6, 0.1])  # 0.1 makes most fractions fall below 1
+    @pytest.mark.parametrize("seed", range(10))
+    def test_batched_probe_is_the_per_sample_fraction(self, seed, sep_tol):
+        f = _default_rank_field(seed)
+        assert reducedness_probe(f, 200, seed, sep_tol) == _reducedness_reference(f, 200, seed, sep_tol)
+
+    def test_point_on_a_puncture_is_not_simple(self, monkeypatch):
+        f = _scalar_field(lam=0.7, a=0.2)
+        monkeypatch.setattr(spectral, "_punctured", lambda field, roots: np.ones(roots.shape[:-1], dtype=bool))
+        assert reducedness_probe(f, 20, seed=7) == 0.0
+
     def test_diagonal_model_fully_reduced(self, t1):
         field, _ = model_field(t1)
         assert reducedness_probe(field, 200, seed=7) == 1.0
